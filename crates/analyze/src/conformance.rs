@@ -25,7 +25,7 @@ use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::gemm::Kernel;
 use cubemm_dense::Matrix;
 use cubemm_model::{overhead, ModelAlgo, Overhead};
-use cubemm_simnet::{CostParams, Engine, PortModel};
+use cubemm_simnet::{CostParams, PortModel};
 
 use crate::check::{analyze, replay_elapsed, Analysis, Strictness};
 use crate::ir::Schedule;
@@ -254,19 +254,6 @@ pub fn capture(
     p: usize,
     port: PortModel,
 ) -> Result<(Schedule, f64), String> {
-    capture_on(algo, n, p, port, Engine::default())
-}
-
-/// [`capture`] with an explicit execution engine. Both engines must
-/// produce the same trace bit-for-bit; running the capture under each
-/// and comparing the analyses is how that claim is certified.
-pub fn capture_on(
-    algo: Algorithm,
-    n: usize,
-    p: usize,
-    port: PortModel,
-    engine: Engine,
-) -> Result<(Schedule, f64), String> {
     algo.check(n, p).map_err(|e| e.to_string())?;
     let a = Matrix::random(n, n, 0xA11CE);
     let b = Matrix::random(n, n, 0xB0B);
@@ -274,7 +261,6 @@ pub fn capture_on(
         .port(port)
         .costs(CostParams::PAPER)
         .kernel(Kernel::Naive)
-        .engine(engine)
         .traced(true)
         .build();
     let res = algo
@@ -296,21 +282,7 @@ pub fn analyze_algorithm(
     p: usize,
     port: PortModel,
 ) -> Result<AlgoAnalysis, String> {
-    analyze_algorithm_on(algo, n, p, port, Engine::default())
-}
-
-/// [`analyze_algorithm`] with an explicit execution engine driving the
-/// capture run. The analysis itself is static; the engine only decides
-/// how the traced capture executes, so a sound result under one engine
-/// and not the other is a simulator bug, not a schedule bug.
-pub fn analyze_algorithm_on(
-    algo: Algorithm,
-    n: usize,
-    p: usize,
-    port: PortModel,
-    engine: Engine,
-) -> Result<AlgoAnalysis, String> {
-    let (schedule, machine_elapsed) = capture_on(algo, n, p, port, engine)?;
+    let (schedule, machine_elapsed) = capture(algo, n, p, port)?;
     let analysis = analyze(&schedule, port, Strictness::Serialized);
 
     let (expected, verdict) = if let (true, Some(cost)) = (analysis.is_sound(), analysis.cost) {

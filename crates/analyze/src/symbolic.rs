@@ -24,8 +24,7 @@
 //! * **grounding obligations** tie the schema to the real code: the
 //!   schema's independent expansion at concrete `d` must be
 //!   message-for-message identical to the compiled plans (and, in the
-//!   differential test harness, to trace captures of real runs under
-//!   both engines).
+//!   differential test harness, to trace captures of real runs).
 //!
 //! What stays point-checked, and why, is catalogued in DESIGN.md §15.
 
@@ -34,13 +33,13 @@ use cubemm_core::schema::{AlgoSchema, CollPhase, Phase, SchemaForm};
 use cubemm_core::Algorithm;
 use cubemm_model::sym::{Poly, Rat, SymOverhead};
 use cubemm_model::{overhead_sym, ModelAlgo};
-use cubemm_simnet::{CostParams, Engine, Machine, Payload, PortModel};
+use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
 use cubemm_topology::Subcube;
 
 use crate::check::{analyze, Strictness};
 use crate::collectives::{collective_schedule, Collective};
 use crate::conformance::{
-    analyze_algorithm_on, applicable_grid, Policy, DIAG3D_ONE_PORT_FACTOR, GRANULARITY_SLACK,
+    analyze_algorithm, applicable_grid, Policy, DIAG3D_ONE_PORT_FACTOR, GRANULARITY_SLACK,
 };
 use crate::ir::{Event, Round, Schedule};
 
@@ -297,7 +296,6 @@ pub fn diff_schedules(lhs: &Schedule, rhs: &Schedule, skip_empty: bool) -> Resul
 pub fn captured_collective(
     kind: CollKind,
     port: PortModel,
-    engine: Engine,
     d: u32,
     m: usize,
     root: usize,
@@ -307,7 +305,6 @@ pub fn captured_collective(
     let machine = Machine::builder(p)
         .port(port)
         .cost(CostParams::PAPER)
-        .engine(engine)
         .traced(true)
         .build()
         .map_err(|e| format!("machine build failed: {e}"))?;
@@ -742,7 +739,7 @@ fn ground_algorithm(
         if algo == Algorithm::All3d && port == PortModel::MultiPort && !all3d_mp_compliant(n, p) {
             continue;
         }
-        let analysis = match analyze_algorithm_on(algo, n, p, port, Engine::default()) {
+        let analysis = match analyze_algorithm(algo, n, p, port) {
             Ok(a) => a,
             Err(e) => return Obligation::fail("grounding", stmt, e),
         };
@@ -1078,7 +1075,7 @@ mod tests {
                 // ground nonzero roots against real traced runs instead.
                 let root = 5;
                 let expansion = expand_collective(&schema, port, 3, 12, 0, root);
-                let traced = captured_collective(kind, port, Engine::Event, 3, 12, root).unwrap();
+                let traced = captured_collective(kind, port, 3, 12, root).unwrap();
                 diff_schedules(&expansion, &traced, true).unwrap_or_else(|e| {
                     panic!("{kind:?} {port:?} root {root}: {e}");
                 });

@@ -9,8 +9,7 @@
 //! 1. the compiled per-node plans (`collective_schedule`, the PR 3
 //!    generators), at random `d ∈ [1, 16]`;
 //! 2. trace-derived schedules from real machine runs
-//!    (`captured_collective`), under both execution engines, at random
-//!    roots.
+//!    (`captured_collective`), at random `d ∈ [1, 8]` and random roots.
 //!
 //! Plus negative controls: a schema skewed by one round, or carrying
 //! the wrong volume polynomial, must be *rejected* by the checker —
@@ -21,7 +20,7 @@ use cubemm_analyze::{
     expand_collective, Collective,
 };
 use cubemm_collectives::{CollKind, CollSchema};
-use cubemm_simnet::{Engine, PortModel};
+use cubemm_simnet::PortModel;
 
 /// Deterministic xorshift64* — no external PRNG crates, reproducible
 /// failures (the seed is in the panic message via the drawn values).
@@ -84,29 +83,25 @@ fn random_d_expansion_matches_compiled_plans() {
 }
 
 /// Oracle 2: the expansion matches what a real traced machine run
-/// actually sent, at random roots, under both engines. Threaded runs
-/// stay at d ≤ 5 (one OS thread per node); the event engine draws from
-/// d ∈ [6, 8], sizes the threaded engine cannot reach cheaply.
+/// actually sent, at random roots. Every `(kind, port)` pair draws one
+/// small machine (d ∈ [1, 5]) and one large one (d ∈ [6, 8]).
 #[test]
-fn random_d_expansion_matches_traced_runs_under_both_engines() {
+fn random_d_expansion_matches_traced_runs() {
     let mut rng = Rng(0x5eed_0002);
     for kind in CollKind::ALL {
         let schema = CollSchema::reference(kind);
         for port in PORTS {
-            for engine in [Engine::Threaded, Engine::Event] {
-                let d = match engine {
-                    Engine::Threaded => rng.range(1, 5) as u32,
-                    Engine::Event => rng.range(6, 8) as u32,
-                };
+            for (dmin, dmax) in [(1, 5), (6, 8)] {
+                let d = rng.range(dmin, dmax) as u32;
                 let m = rng.range(1, 16) as usize;
                 let root = (rng.next() as usize) % (1usize << d);
                 let expansion = expand_collective(&schema, port, d, m, 0, root);
-                let traced = captured_collective(kind, port, engine, d, m, root)
-                    .unwrap_or_else(|e| panic!("{kind:?} {port:?} {engine} d={d}: {e}"));
+                let traced = captured_collective(kind, port, d, m, root)
+                    .unwrap_or_else(|e| panic!("{kind:?} {port:?} d={d}: {e}"));
                 // Traces drop a node's idle rounds; expansions keep them.
                 diff_schedules(&expansion, &traced, true).unwrap_or_else(|e| {
                     panic!(
-                        "{kind:?} {port:?} {engine} d={d} m={m} root={root}: \
+                        "{kind:?} {port:?} d={d} m={m} root={root}: \
                          expansion != trace: {e}"
                     )
                 });

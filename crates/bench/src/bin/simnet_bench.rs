@@ -1,10 +1,11 @@
-//! Simulation-engine throughput: the checked-in engine perf trajectory.
+//! Simulator throughput: the checked-in executor perf trajectory.
 //!
 //! Measures host-time cost of the simnet execution core itself — machine
 //! spin-up, neighbor ping-pong latency, and a full recursive-doubling
-//! all-gather — under both execution engines (thread-per-node and
-//! event-driven), and writes the results as `BENCH_simnet.json` in the
-//! working directory, mirroring the `BENCH_kernels.json` format.
+//! all-gather — on the virtual-clock work-queue executor, and writes the
+//! results as `BENCH_simnet.json` in the working directory, mirroring the
+//! `BENCH_kernels.json` format (the host's core count and CPU model are
+//! recorded alongside).
 //!
 //! ```text
 //! cargo run --release -p cubemm-bench --bin simnet_bench              # full run
@@ -13,23 +14,20 @@
 //!     --baseline OLD.json                                             # + speedups
 //! ```
 //!
-//! `--smoke` runs the small sizes only — including one event-engine case
-//! — and cross-checks every case's virtual-time result against its
-//! closed form, exiting non-zero on mismatch — a cheap guard that keeps
-//! the engines and bench code from bit-rotting. The closed forms are
-//! engine-independent (the two engines are bitwise equivalent), so the
-//! same verification covers both. The full run performs the same
-//! verification before timing anything, and includes spin-up points at
-//! p = 4096 and p = 65536 that only the event engine can host. A
-//! `--baseline FILE` reads a previously written `BENCH_simnet.json` and
-//! emits a `speedup_vs_baseline` column, the before/after evidence for
-//! engine changes (rows from pre-engine-column baselines count as
-//! threaded).
+//! `--smoke` runs the small sizes only — plus one spin-up at p = 4096 —
+//! and cross-checks every case's virtual-time result against its closed
+//! form, exiting non-zero on mismatch — a cheap guard that keeps the
+//! executor and bench code from bit-rotting. The full run performs the
+//! same verification before timing anything, and includes spin-up points
+//! at p = 4096 and p = 65536. A `--baseline FILE` reads a previously
+//! written `BENCH_simnet.json` and emits a `speedup_vs_baseline` column,
+//! the before/after evidence for executor changes (rows a baseline marks
+//! `"engine": "threaded"` are ignored).
 
 use std::time::Instant;
 
 use cubemm_collectives::allgather;
-use cubemm_simnet::{CostParams, Engine, Machine, Proc, RunOutcome};
+use cubemm_simnet::{CostParams, Machine, Proc, RunOutcome};
 use cubemm_topology::Subcube;
 
 const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
@@ -45,14 +43,12 @@ const ALLGATHER_WORDS: usize = 64;
 struct Case {
     name: &'static str,
     p: usize,
-    engine: Engine,
 }
 
-/// Boots a healthy one-port machine under `engine` and runs `program`.
-fn run<O, F, Fut>(p: usize, engine: Engine, program: F) -> RunOutcome<O>
+/// Boots a healthy one-port machine and runs `program`.
+fn run<O, F, Fut>(p: usize, program: F) -> RunOutcome<O>
 where
-    O: Send,
-    F: Fn(Proc, ()) -> Fut + Sync,
+    F: Fn(Proc, ()) -> Fut,
     Fut: std::future::Future<Output = O>,
 {
     #[allow(
@@ -61,7 +57,6 @@ where
     )]
     Machine::builder(p)
         .cost(COST)
-        .engine(engine)
         .build()
         .expect("valid bench machine")
         .run(vec![(); p], program)
@@ -69,15 +64,15 @@ where
 }
 
 /// One `p`-node machine spin-up and tear-down with no communication.
-fn spinup(p: usize, engine: Engine) -> f64 {
-    let out = run(p, engine, |proc, ()| async move { proc.id() });
+fn spinup(p: usize) -> f64 {
+    let out = run(p, |proc, ()| async move { proc.id() });
     assert_eq!(out.outputs.len(), p);
     out.stats.elapsed
 }
 
 /// Two nodes volleying a 4-word message `PINGPONG_ROUNDS` times.
-fn pingpong(engine: Engine) -> f64 {
-    let out = run(2, engine, |mut proc, ()| async move {
+fn pingpong() -> f64 {
+    let out = run(2, |mut proc, ()| async move {
         let msg = vec![proc.id() as f64; 4];
         for r in 0..PINGPONG_ROUNDS as u64 {
             if proc.id() == 0 {
@@ -95,9 +90,9 @@ fn pingpong(engine: Engine) -> f64 {
 
 /// Full-cube recursive-doubling all-gather of `ALLGATHER_WORDS`-word
 /// contributions.
-fn allgather_run(p: usize, engine: Engine) -> f64 {
+fn allgather_run(p: usize) -> f64 {
     let dim = p.trailing_zeros();
-    let out = run(p, engine, move |mut proc, ()| async move {
+    let out = run(p, move |mut proc, ()| async move {
         let sc = Subcube::whole(dim);
         let mine: Vec<f64> = vec![proc.id() as f64; ALLGATHER_WORDS];
         let got = allgather(&mut proc, &sc, 0, mine.into()).await;
@@ -109,17 +104,15 @@ fn allgather_run(p: usize, engine: Engine) -> f64 {
 
 fn run_case(case: Case) -> f64 {
     match case.name {
-        "spinup" => spinup(case.p, case.engine),
-        "pingpong" => pingpong(case.engine),
-        "allgather" => allgather_run(case.p, case.engine),
+        "spinup" => spinup(case.p),
+        "pingpong" => pingpong(),
+        "allgather" => allgather_run(case.p),
         other => unreachable!("unknown case {other}"),
     }
 }
 
 /// Verifies each case's virtual time against its closed form — the
-/// engine must get faster without changing a single simulated number.
-/// The closed forms don't mention the engine: threaded and event runs
-/// are bitwise equivalent.
+/// executor must get faster without changing a single simulated number.
 fn verify(case: Case) -> Result<(), String> {
     let elapsed = run_case(case);
     let want = match case.name {
@@ -135,8 +128,8 @@ fn verify(case: Case) -> Result<(), String> {
     };
     if elapsed != want {
         return Err(format!(
-            "{}/p={}/{}: virtual time {elapsed} != closed form {want}",
-            case.name, case.p, case.engine
+            "{}/p={}: virtual time {elapsed} != closed form {want}",
+            case.name, case.p
         ));
     }
     Ok(())
@@ -156,12 +149,11 @@ fn time_case(case: Case, reps: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Pulls `(case, p, engine) -> seconds` rows back out of a previously
-/// written `BENCH_simnet.json` (the format this binary emits; no JSON
-/// stack in the workspace, so this is a line scanner keyed on the known
-/// shape). Rows without an `engine` field — written before the event
-/// engine existed — count as threaded.
-fn parse_baseline(text: &str) -> Vec<(String, usize, String, f64)> {
+/// Pulls `(case, p) -> seconds` rows back out of a previously written
+/// `BENCH_simnet.json` (the format this binary emits; a line scanner
+/// keyed on the known shape). Rows an older file marks
+/// `"engine": "threaded"` measured a different executor and are skipped.
+fn parse_baseline(text: &str) -> Vec<(String, usize, f64)> {
     let mut rows = Vec::new();
     for line in text.lines() {
         let get = |key: &str| -> Option<&str> {
@@ -171,20 +163,35 @@ fn parse_baseline(text: &str) -> Vec<(String, usize, String, f64)> {
             let end = rest.find([',', '"', '}']).unwrap_or(rest.len());
             Some(rest[..end].trim())
         };
+        if get("engine") == Some("threaded") {
+            continue;
+        }
         if let (Some(case), Some(p), Some(secs)) = (get("case"), get("p"), get("seconds")) {
-            let engine = get("engine").unwrap_or("threaded").to_string();
             if let (Ok(p), Ok(secs)) = (p.parse(), secs.parse()) {
-                rows.push((case.to_string(), p, engine, secs));
+                rows.push((case.to_string(), p, secs));
             }
         }
     }
     rows
 }
 
+/// The host CPU's model name (Linux `/proc/cpuinfo`), for the record.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, name)| name.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let baseline: Vec<(String, usize, String, f64)> = args
+    let baseline: Vec<(String, usize, f64)> = args
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1))
@@ -197,39 +204,29 @@ fn main() {
         })
         .unwrap_or_default();
 
-    let case = |name: &'static str, p: usize, engine: Engine| Case { name, p, engine };
+    let case = |name: &'static str, p: usize| Case { name, p };
     let cases: Vec<Case> = if smoke {
         vec![
-            case("spinup", 8, Engine::Threaded),
-            case("pingpong", 2, Engine::Threaded),
-            case("allgather", 8, Engine::Threaded),
-            // The event engine's smoke coverage: same closed forms, one
-            // host thread, plus a spin-up far past any thread budget.
-            case("allgather", 8, Engine::Event),
-            case("spinup", 4096, Engine::Event),
+            case("spinup", 8),
+            case("pingpong", 2),
+            case("allgather", 8),
+            case("spinup", 4096),
         ]
     } else {
         vec![
-            case("spinup", 8, Engine::Threaded),
-            case("spinup", 64, Engine::Threaded),
-            case("spinup", 256, Engine::Threaded),
-            case("pingpong", 2, Engine::Threaded),
-            case("allgather", 8, Engine::Threaded),
-            case("allgather", 64, Engine::Threaded),
-            case("allgather", 256, Engine::Threaded),
-            case("spinup", 256, Engine::Event),
-            case("pingpong", 2, Engine::Event),
-            case("allgather", 8, Engine::Event),
-            case("allgather", 64, Engine::Event),
-            case("allgather", 256, Engine::Event),
-            // Only the event engine reaches these machine sizes: no
-            // thread-per-node engine spawns 4096+ OS threads.
-            case("spinup", 4096, Engine::Event),
-            case("spinup", 65536, Engine::Event),
+            case("spinup", 8),
+            case("spinup", 64),
+            case("spinup", 256),
+            case("pingpong", 2),
+            case("allgather", 8),
+            case("allgather", 64),
+            case("allgather", 256),
+            case("spinup", 4096),
+            case("spinup", 65536),
         ]
     };
 
-    // Correctness first: a fast engine that simulates wrong times is
+    // Correctness first: a fast executor that simulates wrong times is
     // worse than a slow one.
     for &case in &cases {
         if let Err(e) = verify(case) {
@@ -237,49 +234,45 @@ fn main() {
             std::process::exit(1);
         }
     }
-    println!("all engine cases verified against closed-form virtual times");
+    println!("all cases verified against closed-form virtual times");
 
     let reps = if smoke { 3 } else { 9 };
     let mut rows: Vec<String> = Vec::new();
     println!(
-        "{:<12} {:>6} {:>9} {:>12} {:>10}",
-        "case", "p", "engine", "seconds", "vs base"
+        "{:<12} {:>6} {:>12} {:>10}",
+        "case", "p", "seconds", "vs base"
     );
     for &case in &cases {
         let secs = time_case(case, reps);
-        let engine = case.engine.to_string();
         let base = baseline
             .iter()
-            .find(|(n, p, e, _)| n == case.name && *p == case.p && *e == engine)
-            .or_else(|| {
-                // Pre-event baselines only carry threaded rows; scoring
-                // an event case against the threaded row at the same
-                // shape is exactly the engine-vs-engine comparison the
-                // file exists to record.
-                baseline
-                    .iter()
-                    .find(|(n, p, e, _)| n == case.name && *p == case.p && e == "threaded")
-            })
-            .map(|&(_, _, _, s)| s);
+            .find(|(n, p, _)| n == case.name && *p == case.p)
+            .map(|&(_, _, s)| s);
         let speedup = base.map_or(0.0, |b| b / secs);
         println!(
-            "{:<12} {:>6} {:>9} {:>12.6} {:>10}",
+            "{:<12} {:>6} {:>12.6} {:>10}",
             case.name,
             case.p,
-            engine,
             secs,
             base.map_or_else(|| "-".to_string(), |_| format!("{speedup:.2}x")),
         );
         rows.push(format!(
-            "    {{\"case\": \"{}\", \"p\": {}, \"engine\": \"{}\", \"seconds\": {:.6}, \"speedup_vs_baseline\": {:.3}}}",
-            case.name, case.p, engine, secs, speedup
+            "    {{\"case\": \"{}\", \"p\": {}, \"seconds\": {:.6}, \"speedup_vs_baseline\": {:.3}}}",
+            case.name, case.p, secs, speedup
         ));
     }
 
     if !smoke {
+        let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
         let json = format!(
-            "{{\n  \"bench\": \"simnet_engine\",\n  \"baseline\": \
-             \"thread-per-node engine with progress ledger (PR 4)\",\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"simnet_engine\",\n  \"host_cores\": {host_cores},\n  \
+             \"host_cpu\": \"{}\",\n  \"baseline\": \"{}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+            host_cpu(),
+            if baseline.is_empty() {
+                "none"
+            } else {
+                "--baseline file, event rows"
+            },
             rows.join(",\n")
         );
         std::fs::write("BENCH_simnet.json", &json).expect("write BENCH_simnet.json");

@@ -12,27 +12,25 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv`; every token starting with `--` consumes the next
-    /// token as its value.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
-        Args::parse_with_bools(argv, &[])
-    }
-
-    /// [`Args::parse`], except the keys listed in `bools` are boolean
-    /// switches: their presence records `"true"` without consuming the
-    /// next token.
-    pub fn parse_with_bools(argv: &[String], bools: &[&str]) -> Result<Args, String> {
+    /// Parses `argv` against the flags a subcommand defines: a key in
+    /// `values` consumes the next token as its value, a key in
+    /// `switches` records `"true"` without consuming anything. Any other
+    /// `--flag` is a usage error that names it, so a typo or a retired
+    /// flag never runs silently with defaults.
+    pub fn parse(argv: &[String], values: &[&str], switches: &[&str]) -> Result<Args, String> {
         let mut flags: HashMap<String, Vec<String>> = HashMap::new();
         let mut positional = Vec::new();
         let mut it = argv.iter();
         while let Some(tok) = it.next() {
             if let Some(key) = tok.strip_prefix("--") {
-                let val = if bools.contains(&key) {
+                let val = if switches.contains(&key) {
                     "true".to_string()
-                } else {
+                } else if values.contains(&key) {
                     it.next()
                         .ok_or_else(|| format!("flag --{key} needs a value"))?
                         .clone()
+                } else {
+                    return Err(format!("unknown flag --{key} (see `cubemm help`)"));
                 };
                 flags.entry(key.to_string()).or_default().push(val);
             } else {
@@ -94,50 +92,13 @@ pub fn parse_port(s: Option<&str>) -> Result<cubemm_simnet::PortModel, String> {
     }
 }
 
-/// Parses `threaded`/`event` into an execution engine. Absent flag
-/// means the event default (single-threaded virtual-clock scheduler —
-/// identical results to threaded, and the engine that scales to large
-/// p); `--engine threaded` opts back into one OS thread per node.
-pub fn parse_engine(s: Option<&str>) -> Result<cubemm_simnet::Engine, String> {
-    match s {
-        None => Ok(cubemm_simnet::Engine::default()),
-        Some(v) => v.parse(),
-    }
-}
-
-/// Parses `naive | ikj | blocked[:TILE] | packed[:THREADS]` into a local
-/// GEMM kernel. Absent flag means the default (packed, single-threaded);
-/// `packed:0` sizes the thread count to the host automatically.
+/// Parses `--kernel naive | ikj | blocked[:TILE] | packed[:THREADS]`
+/// (see `Kernel`'s `FromStr`). Absent flag means the default (packed,
+/// single-threaded); `packed:0` sizes the thread count to the host.
 pub fn parse_kernel(s: Option<&str>) -> Result<cubemm_dense::gemm::Kernel, String> {
-    use cubemm_dense::gemm::Kernel;
-    let Some(s) = s else {
-        return Ok(Kernel::default());
-    };
-    let (name, arg) = match s.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (s, None),
-    };
-    let num = |a: &str| {
-        a.parse::<usize>()
-            .map_err(|_| format!("--kernel {s:?}: invalid number {a:?}"))
-    };
-    match (name, arg) {
-        ("naive", None) => Ok(Kernel::Naive),
-        ("ikj", None) => Ok(Kernel::Ikj),
-        ("blocked", None) => Ok(Kernel::Blocked(64)),
-        ("blocked", Some(a)) => {
-            let tile = num(a)?;
-            if tile == 0 {
-                return Err(format!("--kernel {s:?}: tile must be positive"));
-            }
-            Ok(Kernel::Blocked(tile))
-        }
-        ("packed", None) => Ok(Kernel::packed()),
-        ("packed", Some(a)) => Ok(Kernel::packed_mt(num(a)?)),
-        _ => Err(format!(
-            "unknown kernel {s:?} (use naive|ikj|blocked[:TILE]|packed[:THREADS])"
-        )),
-    }
+    s.map_or(Ok(Default::default()), |s| {
+        s.parse().map_err(|e| format!("--kernel: {e}"))
+    })
 }
 
 #[cfg(test)]
@@ -150,7 +111,7 @@ mod tests {
 
     #[test]
     fn parses_flags_and_positionals() {
-        let a = Args::parse(&argv("64 --n 32 --port multi rest")).unwrap();
+        let a = Args::parse(&argv("64 --n 32 --port multi rest"), &["n", "port"], &[]).unwrap();
         assert_eq!(a.positional::<usize>(0), Some(64));
         assert_eq!(a.get_or::<usize>("n", 0).unwrap(), 32);
         assert_eq!(a.raw("port"), Some("multi"));
@@ -159,23 +120,36 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&argv("--n")).is_err());
+        assert!(Args::parse(&argv("--n"), &["n"], &[]).is_err());
     }
 
     #[test]
     fn boolean_switches_consume_no_value() {
-        let a = Args::parse_with_bools(&argv("--abft --n 8"), &["abft"]).unwrap();
+        let a = Args::parse(&argv("--abft --n 8"), &["n"], &["abft"]).unwrap();
         assert!(a.has("abft"));
         assert!(!a.has("n-missing"));
         assert_eq!(a.get_or::<usize>("n", 0).unwrap(), 8);
-        // Without the bool registration, --abft would swallow `--n`.
-        let b = Args::parse(&argv("--abft --n 8")).unwrap();
+        // Registered as a value flag, --abft would swallow `--n`.
+        let b = Args::parse(&argv("--abft --n 8"), &["abft"], &[]).unwrap();
         assert_eq!(b.raw("abft"), Some("--n"));
     }
 
     #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let err = Args::parse(&argv("--n 8 --bogus 3"), &["n"], &["abft"])
+            .err()
+            .expect("unknown flag rejected");
+        assert!(err.contains("--bogus"), "{err}");
+        // An unknown flag is rejected before it could swallow a value.
+        let err = Args::parse(&argv("--engine event --n 8"), &["n"], &[])
+            .err()
+            .expect("retired flag rejected");
+        assert!(err.contains("--engine"), "{err}");
+    }
+
+    #[test]
     fn require_and_defaults() {
-        let a = Args::parse(&argv("--n 8")).unwrap();
+        let a = Args::parse(&argv("--n 8"), &["n"], &[]).unwrap();
         assert_eq!(a.require::<usize>("n").unwrap(), 8);
         assert!(a.require::<usize>("p").is_err());
         assert_eq!(a.get_or::<f64>("ts", 150.0).unwrap(), 150.0);
@@ -183,7 +157,12 @@ mod tests {
 
     #[test]
     fn repeated_flags_accumulate() {
-        let a = Args::parse(&argv("--fault-link 0:1 --fault-link 2:3 --n 4 --n 8")).unwrap();
+        let a = Args::parse(
+            &argv("--fault-link 0:1 --fault-link 2:3 --n 4 --n 8"),
+            &["fault-link", "fault-drop", "n"],
+            &[],
+        )
+        .unwrap();
         assert_eq!(
             a.raw_all("fault-link"),
             ["0:1".to_string(), "2:3".to_string()]
@@ -198,15 +177,6 @@ mod tests {
         assert!(parse_port(Some("multi")).is_ok());
         assert!(parse_port(None).is_ok());
         assert!(parse_port(Some("dual")).is_err());
-    }
-
-    #[test]
-    fn engine_parsing() {
-        use cubemm_simnet::Engine;
-        assert_eq!(parse_engine(None).unwrap(), Engine::Event);
-        assert_eq!(parse_engine(Some("threaded")).unwrap(), Engine::Threaded);
-        assert_eq!(parse_engine(Some("event")).unwrap(), Engine::Event);
-        assert!(parse_engine(Some("fiber")).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!                                          Figure 13/14-style region map
 //! cubemm analyze <algo|all> [--n N] [--p P] [--port one|multi|both]
 //!                                          static schedule certification
-//! cubemm serve [--workers N] [--queue N] [--node-budget N] [--socket PATH]
+//! cubemm serve [--workers N] [--queue N] [--socket PATH]
 //!                                          long-lived JSON-lines multiply
 //!                                          service with admission control
 //! cubemm chaos <algo|all> [--seed S] [--runs N] [--repro-dir DIR]

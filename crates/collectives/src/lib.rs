@@ -152,11 +152,8 @@ pub(crate) fn add_payloads(a: &[f64], b: &[f64]) -> Payload {
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Shared machinery for the per-module collective tests: boots a
-    //! healthy machine with the standard test cost model under both
-    //! execution engines and asserts their stats agree bitwise, so every
-    //! collective's Table 1 measurement doubles as an engine-equivalence
-    //! check.
-    use cubemm_simnet::{CostParams, Engine, Machine, PortModel, Proc, RunOutcome};
+    //! healthy machine with the standard test cost model.
+    use cubemm_simnet::{CostParams, Machine, PortModel, Proc, RunOutcome};
 
     pub(crate) const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
 
@@ -167,28 +164,16 @@ pub(crate) mod testutil {
         program: F,
     ) -> RunOutcome<O>
     where
-        I: Clone + Send,
-        O: Send,
-        F: Fn(Proc, I) -> Fut + Sync,
+        F: Fn(Proc, I) -> Fut,
         Fut: std::future::Future<Output = O>,
     {
-        let boot = |engine: Engine| {
-            Machine::builder(p)
-                .port(port)
-                .cost(COST)
-                .engine(engine)
-                .build()
-                .expect("valid test machine")
-                .run(inits.clone(), &program)
-                .expect("healthy run")
-        };
-        let threaded = boot(Engine::Threaded);
-        let event = boot(Engine::Event);
-        assert_eq!(
-            threaded.stats, event.stats,
-            "threaded and event engines must agree bitwise"
-        );
-        threaded
+        Machine::builder(p)
+            .port(port)
+            .cost(COST)
+            .build()
+            .expect("valid test machine")
+            .run(inits, program)
+            .expect("healthy run")
     }
 }
 

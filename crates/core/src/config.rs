@@ -26,10 +26,6 @@ pub struct MachineConfig {
     pub links: LinkTopology,
     /// Deterministic fault injection (empty — healthy — by default).
     pub faults: FaultPlan,
-    /// Execution engine: one host thread per node (`Threaded`) or a
-    /// single-threaded virtual-clock event loop (`Event`). Results are
-    /// bitwise identical; `Event` scales to p ≥ 4096.
-    pub engine: Engine,
     /// A machine validated ahead of time (see [`MachineConfig::prepare`])
     /// that runs under this config may reuse, skipping re-validation.
     /// Safe by construction: a run only uses it when its size and
@@ -48,7 +44,6 @@ impl Default for MachineConfig {
             charge: ChargePolicy::SenderOnly,
             links: LinkTopology::Hypercube,
             faults: FaultPlan::new(),
-            engine: Engine::default(),
             prepared: None,
         }
     }
@@ -110,14 +105,6 @@ impl MachineConfig {
         self
     }
 
-    /// Selects the execution engine for runs under this config. The
-    /// event engine simulates the whole machine on one host thread and
-    /// produces bitwise-identical stats, traces, and failure verdicts.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The simnet option block this configuration describes.
     pub fn machine_options(&self) -> MachineOptions {
         MachineOptions {
@@ -127,7 +114,6 @@ impl MachineConfig {
             links: self.links,
             traced: self.traced,
             faults: self.faults.clone(),
-            engine: self.engine,
         }
     }
 
@@ -200,9 +186,11 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Execution engine (threaded or event-driven).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.cfg.engine = engine;
+    /// Accepts the one execution engine and changes nothing: every run
+    /// uses the virtual-clock work queue. Kept so existing callers that
+    /// pass an [`Engine`] still build; it goes with the next benchmark
+    /// revision.
+    pub fn engine(self, _engine: Engine) -> Self {
         self
     }
 

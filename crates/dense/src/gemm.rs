@@ -84,8 +84,9 @@ pub enum Kernel {
 
 impl Kernel {
     /// The packed kernel with tuned default tiles, single-threaded —
-    /// the right choice inside the simulator, where the `p` virtual
-    /// nodes already occupy one OS thread each.
+    /// the right choice inside the simulator, whose node-local products
+    /// are many and small, and whose callers (parallel sweeps, serve
+    /// workers) already spread whole runs across the cores.
     pub const fn packed() -> Kernel {
         Kernel::Packed {
             mc: 0,
@@ -111,6 +112,39 @@ impl Default for Kernel {
     /// The packed single-threaded kernel.
     fn default() -> Self {
         Kernel::packed()
+    }
+}
+
+impl std::str::FromStr for Kernel {
+    type Err = String;
+
+    /// Parses `naive | ikj | blocked[:TILE] | packed[:THREADS]`. A bare
+    /// `blocked` tiles by 64; a bare `packed` is [`Kernel::packed`], and
+    /// `packed:0` uses every core. Errors name the offending spelling;
+    /// callers prefix their own flag or field name.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let (name, arg) = match s.split_once(':') {
+            Some((n, a)) => (n, Some(a)),
+            None => (s, None),
+        };
+        let num = |a: &str| {
+            a.parse::<usize>()
+                .map_err(|_| format!("kernel {s:?}: invalid number {a:?}"))
+        };
+        match (name, arg) {
+            ("naive", None) => Ok(Kernel::Naive),
+            ("ikj", None) => Ok(Kernel::Ikj),
+            ("blocked", None) => Ok(Kernel::Blocked(64)),
+            ("blocked", Some(a)) => match num(a)? {
+                0 => Err(format!("kernel {s:?}: tile must be positive")),
+                tile => Ok(Kernel::Blocked(tile)),
+            },
+            ("packed", None) => Ok(Kernel::packed()),
+            ("packed", Some(a)) => Ok(Kernel::packed_mt(num(a)?)),
+            _ => Err(format!(
+                "unknown kernel {s:?} (use naive|ikj|blocked[:TILE]|packed[:THREADS])"
+            )),
+        }
     }
 }
 

@@ -247,46 +247,15 @@ fn worker_loop(inner: &'static Inner) {
 // ---------------------------------------------------------------------
 // Scratch-buffer recycling.
 
-/// Free buffers kept per thread (simulator nodes are threads, so a
-/// thread-local free list gives every virtual node its own lock-free
-/// pool). Bounded so a burst of large packs cannot pin memory forever.
+/// Free buffers kept per thread. Every thread that packs is
+/// long-lived (the caller of a simulated run, a serve worker, a GEMM
+/// pool worker), so a thread-local free list keeps steady-state packs
+/// allocation-free without any locking. Bounded so a burst of large
+/// packs cannot pin memory forever.
 const MAX_FREE_BUFFERS: usize = 8;
 
-/// Free buffers shared across threads. Simulator node threads are
-/// short-lived — every machine boot spawns `p` fresh threads — so
-/// purely thread-local recycling would re-allocate every pack on every
-/// job of a long-lived serve pool. Exiting threads spill their free
-/// lists here and newly booted nodes draw from it before allocating.
-const MAX_GLOBAL_FREE: usize = 64;
-
-static GLOBAL_FREE: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
-
-/// The thread-local free list; spills to [`GLOBAL_FREE`] when the
-/// thread exits so a rebooted machine's nodes inherit warm buffers.
-struct LocalFree(Vec<Vec<f64>>);
-
-impl Drop for LocalFree {
-    fn drop(&mut self) {
-        let mut spilled = std::mem::take(&mut self.0);
-        if spilled.is_empty() {
-            return;
-        }
-        let mut global = lock(&GLOBAL_FREE);
-        spilled.truncate(MAX_GLOBAL_FREE.saturating_sub(global.len()));
-        global.append(&mut spilled);
-    }
-}
-
 thread_local! {
-    static FREE: RefCell<LocalFree> = const { RefCell::new(LocalFree(Vec::new())) };
-}
-
-/// Takes the newest buffer of sufficient capacity from the process-wide
-/// spill pool.
-fn take_global(len: usize) -> Option<Vec<f64>> {
-    let mut global = lock(&GLOBAL_FREE);
-    let pos = global.iter().rposition(|b| b.capacity() >= len)?;
-    Some(global.swap_remove(pos))
+    static FREE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A leased scratch buffer; returns to the thread's free list on drop.
@@ -316,8 +285,8 @@ impl Drop for ScratchBuf {
         }
         let _ = FREE.try_with(|free| {
             let mut free = free.borrow_mut();
-            if free.0.len() < MAX_FREE_BUFFERS {
-                free.0.push(buf);
+            if free.len() < MAX_FREE_BUFFERS {
+                free.push(buf);
             }
         });
     }
@@ -326,18 +295,16 @@ impl Drop for ScratchBuf {
 /// Leases a scratch buffer of exactly `len` elements with **unspecified
 /// contents** (callers overwrite every element — the packing routines
 /// write their zero padding explicitly). Reuses the thread's most
-/// recently returned buffer of sufficient capacity, then the
-/// process-wide spill pool of exited threads; allocates otherwise.
+/// recently returned buffer of sufficient capacity; allocates otherwise.
 pub fn take_scratch(len: usize) -> ScratchBuf {
     let reused = FREE
         .try_with(|free| {
             let mut free = free.borrow_mut();
-            let pos = free.0.iter().rposition(|b| b.capacity() >= len)?;
-            Some(free.0.swap_remove(pos))
+            let pos = free.iter().rposition(|b| b.capacity() >= len)?;
+            Some(free.swap_remove(pos))
         })
         .ok()
-        .flatten()
-        .or_else(|| take_global(len));
+        .flatten();
     let mut buf = reused.unwrap_or_default();
     // Adjust length without touching retained contents: `resize` only
     // writes the elements beyond the current length.
@@ -451,37 +418,6 @@ mod tests {
         let s = take_scratch(512);
         assert_eq!(s.as_slice().as_ptr() as usize, ptr);
         assert_eq!(s.as_slice().len(), 512);
-    }
-
-    #[test]
-    fn exited_threads_spill_scratch_to_the_global_pool() {
-        // Lease-and-return an odd-sized buffer on a short-lived thread
-        // (modelling one virtual node of a rebooted machine), then show
-        // a *different* fresh thread can reuse that very allocation.
-        const LEN: usize = 77_777;
-        let ptr = thread::spawn(|| {
-            let s = take_scratch(LEN);
-            let p = s.as_slice().as_ptr() as usize;
-            drop(s);
-            p
-        })
-        .join()
-        .unwrap();
-        // Another thread may race us for the spilled buffer (tests run
-        // concurrently), so retry a few times before concluding the
-        // spill never happened.
-        for _ in 0..32 {
-            let got = thread::spawn(|| {
-                let s = take_scratch(LEN);
-                s.as_slice().as_ptr() as usize
-            })
-            .join()
-            .unwrap();
-            if got == ptr {
-                return;
-            }
-        }
-        panic!("no fresh thread ever inherited the spilled buffer");
     }
 
     #[test]

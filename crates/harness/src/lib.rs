@@ -3,10 +3,9 @@
 //! tests (`tests/*.rs`), and the CLI's experiment drivers.
 //!
 //! The main export is [`run_grid`]: a parallel driver for sweeps over
-//! independent simulated-machine runs. Each grid point spawns its own
-//! `p`-node machine, so the driver throttles admission with a global
-//! *node-thread budget* rather than a plain job count — four concurrent
-//! 512-node runs are a very different load from four 8-node runs.
+//! independent simulated-machine runs. Every run simulates its whole
+//! machine on the worker thread that claimed it, so `jobs` bounds the
+//! host threads a sweep occupies whatever the machine sizes.
 //!
 //! Determinism: each run's virtual-time results depend only on its own
 //! configuration (see the `cubemm-simnet` crate docs), and [`run_grid`]
@@ -15,180 +14,17 @@
 //! the workspace determinism suite.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::Mutex;
 
 pub mod chaos;
 pub mod recovery;
 
-/// Default cap on simulated node threads alive at once across a grid
-/// ([`run_grid`]). Big enough that any single run (the largest machine
-/// in the evaluation is 512 nodes) always fits; small enough that a
-/// parallel sweep cannot pile thousands of OS threads onto the host.
-pub const DEFAULT_NODE_BUDGET: usize = 1024;
-
-/// The number of host threads a `p`-node run occupies under `engine` —
-/// the weight a [`run_grid`] caller should charge against the budget.
-/// Threaded runs spawn one OS thread per simulated node; event-driven
-/// runs multiplex every node onto the calling thread, so even a
-/// p = 65536 sweep point costs one unit.
-pub fn node_weight(engine: cubemm_simnet::Engine, p: usize) -> usize {
-    match engine {
-        cubemm_simnet::Engine::Threaded => p,
-        cubemm_simnet::Engine::Event => 1,
-    }
-}
-
-/// Locks ignoring poisoning: budget and result state stay consistent
-/// under every partial update, and a panicking grid task must not
-/// deadlock its siblings.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A counting budget of simulated node threads, shared by every worker
-/// of a [`run_grid`] call and used as the admission controller of the
-/// `cubemm-serve` machine pool.
+/// Runs every task of a grid, `jobs` at a time.
 ///
-/// `acquire(p)` blocks until `p` units are free and returns a permit
-/// that releases them on drop. Requests are clamped to the capacity, so
-/// a run bigger than the whole budget still executes (alone) instead of
-/// deadlocking. Services that must *reject* instead of block use
-/// [`ThreadBudget::try_acquire`], which reports an oversized request as
-/// a typed [`BudgetError`] and a momentarily full budget as `None`.
-#[derive(Debug)]
-pub struct ThreadBudget {
-    capacity: usize,
-    available: Mutex<usize>,
-    freed: Condvar,
-}
-
-/// Why a non-blocking budget request can never succeed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetError {
-    /// The request is larger than the whole budget: waiting would never
-    /// help, so admission control must reject the job outright instead
-    /// of deadlocking behind it.
-    ExceedsCapacity {
-        /// The rejected request size.
-        want: usize,
-        /// The budget's total capacity.
-        capacity: usize,
-    },
-}
-
-impl std::fmt::Display for BudgetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BudgetError::ExceedsCapacity { want, capacity } => write!(
-                f,
-                "request for {want} node threads exceeds the budget capacity {capacity}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BudgetError {}
-
-/// A held reservation against a [`ThreadBudget`]; units return on drop.
-#[derive(Debug)]
-pub struct BudgetPermit<'a> {
-    budget: &'a ThreadBudget,
-    held: usize,
-}
-
-impl ThreadBudget {
-    /// A budget of `capacity` node threads (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        ThreadBudget {
-            capacity,
-            available: Mutex::new(capacity),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// The total capacity the budget was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// A snapshot of the currently unreserved units (for reporting; the
-    /// value can be stale by the time the caller acts on it).
-    pub fn available(&self) -> usize {
-        *lock(&self.available)
-    }
-
-    /// Blocks until `want` node threads are available and reserves them.
-    ///
-    /// Zero-weight requests still hold one unit (a job always occupies
-    /// at least its own thread), and oversized requests are clamped to
-    /// the capacity so they run alone instead of deadlocking.
-    pub fn acquire(&self, want: usize) -> BudgetPermit<'_> {
-        let want = want.clamp(1, self.capacity);
-        let mut available = lock(&self.available);
-        while *available < want {
-            available = self
-                .freed
-                .wait(available)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        *available -= want;
-        BudgetPermit {
-            budget: self,
-            held: want,
-        }
-    }
-
-    /// Whether a request of `want` units could ever be admitted — the
-    /// cheap pre-check admission control runs before queueing a job.
-    pub fn admits(&self, want: usize) -> Result<(), BudgetError> {
-        if want > self.capacity {
-            return Err(BudgetError::ExceedsCapacity {
-                want,
-                capacity: self.capacity,
-            });
-        }
-        Ok(())
-    }
-
-    /// Non-blocking [`ThreadBudget::acquire`]: reserves `want` units if
-    /// they are free *right now* (`Ok(Some(permit))`), reports a
-    /// momentarily full budget as `Ok(None)` (back off and retry), and
-    /// an impossible request — `want` beyond the whole capacity — as a
-    /// typed error rather than clamping, blocking, or deadlocking.
-    /// Zero-weight requests hold one unit, as in `acquire`.
-    pub fn try_acquire(&self, want: usize) -> Result<Option<BudgetPermit<'_>>, BudgetError> {
-        self.admits(want)?;
-        let want = want.max(1);
-        let mut available = lock(&self.available);
-        if *available < want {
-            return Ok(None);
-        }
-        *available -= want;
-        Ok(Some(BudgetPermit {
-            budget: self,
-            held: want,
-        }))
-    }
-}
-
-impl Drop for BudgetPermit<'_> {
-    fn drop(&mut self) {
-        *lock(&self.budget.available) += self.held;
-        self.budget.freed.notify_all();
-    }
-}
-
-/// Runs every task of a grid, `jobs` at a time, under a global
-/// node-thread budget of [`DEFAULT_NODE_BUDGET`].
-///
-/// * `weight(task)` is the number of simulated node threads the task
-///   will spawn (its machine size `p`); admission waits until the budget
-///   covers it.
-/// * `run(task)` executes one grid point. Tasks are claimed in input
-///   order; results are returned indexed exactly like `tasks`, so the
-///   output (and anything printed from it afterwards) is independent of
-///   `jobs` and of worker interleaving.
+/// `run(task)` executes one grid point. Tasks are claimed in input
+/// order; results are returned indexed exactly like `tasks`, so the
+/// output (and anything printed from it afterwards) is independent of
+/// `jobs` and of worker interleaving.
 ///
 /// `jobs <= 1` (or a single task) degenerates to a plain serial loop on
 /// the calling thread — the serial path stays exercised, and callers can
@@ -198,11 +34,10 @@ impl Drop for BudgetPermit<'_> {
 ///
 /// A panicking task propagates out of `run_grid` after the remaining
 /// workers drain (as the scope's generic "a scoped thread panicked").
-pub fn run_grid<T, R, W, F>(tasks: &[T], jobs: usize, weight: W, run: F) -> Vec<R>
+pub fn run_grid<T, R, F>(tasks: &[T], jobs: usize, run: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    W: Fn(&T) -> usize + Sync,
     F: Fn(&T) -> R + Sync,
 {
     let jobs = jobs.max(1).min(tasks.len().max(1));
@@ -210,7 +45,6 @@ where
         return tasks.iter().map(run).collect();
     }
 
-    let budget = ThreadBudget::new(DEFAULT_NODE_BUDGET);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -220,10 +54,8 @@ where
                 if i >= tasks.len() {
                     break;
                 }
-                let permit = budget.acquire(weight(&tasks[i]));
                 let result = run(&tasks[i]);
-                drop(permit);
-                *lock(&slots[i]) = Some(result);
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
             });
         }
     });
@@ -250,149 +82,22 @@ mod tests {
     #[test]
     fn grid_results_keep_input_order_at_any_job_count() {
         let tasks: Vec<usize> = (0..37).collect();
-        let serial = run_grid(&tasks, 1, |_| 1, |&t| t * t);
+        let serial = run_grid(&tasks, 1, |&t| t * t);
         for jobs in [2, 4, 8] {
-            let parallel = run_grid(&tasks, jobs, |_| 1, |&t| t * t);
+            let parallel = run_grid(&tasks, jobs, |&t| t * t);
             assert_eq!(parallel, serial, "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn zero_weight_jobs_still_hold_one_unit() {
-        // A job always occupies at least its own thread: weight 0 must
-        // not create a permit that reserves nothing (acquire) nor admit
-        // unbounded concurrency (try_acquire).
-        let budget = ThreadBudget::new(1);
-        let held = budget.acquire(0);
-        assert_eq!(budget.available(), 0);
-        assert!(matches!(budget.try_acquire(0), Ok(None)));
-        drop(held);
-        assert_eq!(budget.available(), 1);
-        let held = budget.try_acquire(0).expect("within capacity");
-        assert!(held.is_some());
-        assert_eq!(budget.available(), 0);
-    }
-
-    #[test]
-    fn try_acquire_rejects_oversized_requests_as_an_error_not_a_deadlock() {
-        let budget = ThreadBudget::new(4);
-        // want > capacity can never succeed: a typed error, instantly —
-        // no clamping (that's acquire's contract) and no blocking.
-        assert_eq!(
-            budget.try_acquire(5).unwrap_err(),
-            BudgetError::ExceedsCapacity {
-                want: 5,
-                capacity: 4
-            }
-        );
-        assert_eq!(
-            budget.admits(1000).unwrap_err(),
-            BudgetError::ExceedsCapacity {
-                want: 1000,
-                capacity: 4
-            }
-        );
-        // The failed attempts reserved nothing.
-        assert_eq!(budget.available(), 4);
-        // Exactly at capacity is fine; a second full-size request backs
-        // off with None instead of waiting.
-        let all = budget.try_acquire(4).expect("at capacity");
-        assert!(all.is_some());
-        assert!(matches!(budget.try_acquire(4), Ok(None)));
-        assert!(matches!(budget.try_acquire(1), Ok(None)));
-        drop(all);
-        assert_eq!(budget.available(), 4);
-    }
-
-    #[test]
-    fn out_of_order_releases_keep_the_accounting_exact() {
-        // Permits dropped in an order unrelated to acquisition must
-        // return exactly their own units: after any release order the
-        // full capacity is acquirable again.
-        let budget = ThreadBudget::new(4);
-        let a = budget.acquire(1);
-        let b = budget.acquire(2);
-        let c = budget.acquire(1);
-        assert_eq!(budget.available(), 0);
-        drop(b); // middle first
-        assert_eq!(budget.available(), 2);
-        drop(a);
-        drop(c);
-        assert_eq!(budget.available(), 4);
-        let all = budget.acquire(4);
-        drop(all);
-    }
-
-    #[test]
-    fn concurrent_acquire_release_never_overshoots_the_budget() {
-        // 16 threads of weight 2 against a budget of 4: at most 2 run
-        // at once, every thread completes (releases wake all waiters),
-        // and the budget drains back to exactly its capacity.
-        let budget = ThreadBudget::new(4);
-        let running = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..16 {
-                scope.spawn(|| {
-                    let permit = budget.acquire(2);
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::yield_now();
-                    running.fetch_sub(1, Ordering::SeqCst);
-                    drop(permit);
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "budget overshoot");
-        assert_eq!(budget.available(), 4);
-    }
-
-    #[test]
-    fn budget_clamps_oversized_requests_instead_of_deadlocking() {
-        let budget = ThreadBudget::new(4);
-        // Twice the capacity still acquires (clamped), alone.
-        let permit = budget.acquire(1000);
-        drop(permit);
-        let a = budget.acquire(3);
-        // A second oversized request waits for the first to drop…
-        drop(a);
-        let b = budget.acquire(4);
-        drop(b);
-    }
-
-    #[test]
-    fn budget_serializes_heavy_tasks_but_work_completes() {
-        // 8 tasks each weighing 3 against a budget of 4: at most one
-        // runs at a time, but all finish.
-        let done = AtomicUsize::new(0);
-        let tasks: Vec<usize> = (0..8).collect();
-        let out = run_grid(
-            &tasks,
-            4,
-            |_| 3,
-            |&t| {
-                done.fetch_add(1, Ordering::Relaxed);
-                t
-            },
-        );
-        assert_eq!(out, tasks);
-        assert_eq!(done.load(Ordering::Relaxed), 8);
     }
 
     #[test]
     #[should_panic(expected = "a scoped thread panicked")]
     fn panicking_task_propagates() {
         let tasks = [0usize, 1, 2];
-        let _ = run_grid(
-            &tasks,
-            2,
-            |_| 1,
-            |&t| {
-                if t == 1 {
-                    panic!("grid task panicked");
-                }
-                t
-            },
-        );
+        let _ = run_grid(&tasks, 2, |&t| {
+            if t == 1 {
+                panic!("grid task panicked");
+            }
+            t
+        });
     }
 }

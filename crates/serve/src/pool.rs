@@ -5,21 +5,19 @@
 //! when the job cannot be queued — the queue is strictly bounded and the
 //! pool never buffers without limit:
 //!
-//! * a job wider than the whole node budget is `rejected` (waiting
-//!   could never help — [`cubemm_harness::BudgetError`]),
 //! * a full queue sheds its lowest-priority newest entry if the
 //!   newcomer outranks it, and otherwise answers the newcomer
 //!   `overloaded` with a deterministic `retry_after_ms` hint,
 //! * a draining pool answers `rejected` without touching the queue.
 //!
-//! Workers pull the highest-priority oldest job, gate machine spawn on
-//! the shared [`ThreadBudget`] (admission control by simulated node
-//! threads, not job count), execute, and respond through the job's own
-//! responder callback.
+//! Workers pull the highest-priority oldest job, execute it — the whole
+//! simulated machine runs on the worker's own thread, so `workers`
+//! bounds the pool's host threads whatever the jobs' `p` — and respond
+//! through the job's own responder callback.
 //!
 //! Machines are cheap to boot — a validated
 //! [`Machine`](cubemm_simnet::Machine) is pure configuration — so the
-//! pool keeps one per *job shape* (`p`, port, engine, costs) in a
+//! pool keeps one per *job shape* (`p`, port, costs) in a
 //! shared cache: same-shape jobs reuse the validated machine instead of
 //! re-validating per boot. Jobs carrying fault plans are never cached
 //! (their machine options are job-specific), and a run only honors a
@@ -39,8 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use cubemm_harness::{BudgetError, ThreadBudget, DEFAULT_NODE_BUDGET};
-use cubemm_simnet::{CostParams, Engine, Machine, MachineOptions, PortModel};
+use cubemm_simnet::{CostParams, Machine, MachineOptions, PortModel};
 
 use crate::exec::{execute_on, machine_for};
 use crate::protocol::{JobRequest, JobResponse, JobStatus};
@@ -57,8 +54,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue capacity; beyond it the pool sheds or pushes back.
     pub queue_cap: usize,
-    /// Cap on simulated node threads alive at once across all workers.
-    pub node_budget: usize,
 }
 
 impl Default for ServeConfig {
@@ -66,7 +61,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             queue_cap: 256,
-            node_budget: DEFAULT_NODE_BUDGET,
         }
     }
 }
@@ -83,7 +77,7 @@ pub struct PoolStats {
     pub failed: u64,
     /// `deadline` responses.
     pub deadline_missed: u64,
-    /// `rejected` responses (oversized or draining).
+    /// `rejected` responses (no applicable algorithm, or draining).
     pub rejected: u64,
     /// `overloaded` responses to *newcomers* (queue full, no shed).
     pub overloaded: u64,
@@ -124,7 +118,6 @@ struct QueueState {
 struct Shared {
     state: Mutex<QueueState>,
     work: Condvar,
-    budget: ThreadBudget,
     queue_cap: usize,
     stats: Mutex<PoolStats>,
     seq: AtomicU64,
@@ -141,7 +134,6 @@ struct Shared {
 struct MachineKey {
     p: usize,
     port: PortModel,
-    engine: Engine,
     ts_bits: u64,
     tw_bits: u64,
 }
@@ -151,7 +143,6 @@ impl MachineKey {
         MachineKey {
             p: req.p,
             port: req.port,
-            engine: req.engine,
             ts_bits: req.ts.to_bits(),
             tw_bits: req.tw.to_bits(),
         }
@@ -186,7 +177,6 @@ impl ServePool {
                 draining: false,
             }),
             work: Condvar::new(),
-            budget: ThreadBudget::new(config.node_budget),
             queue_cap: config.queue_cap.max(1),
             stats: Mutex::new(PoolStats::default()),
             seq: AtomicU64::new(0),
@@ -215,25 +205,6 @@ impl ServePool {
     pub fn submit(&self, req: JobRequest, responder: Responder) -> bool {
         let shared = &self.shared;
         lock(&shared.stats).submitted += 1;
-        // Jobs wider than the whole budget can never run: typed reject,
-        // not a queue slot that would deadlock at the head of the line.
-        // Weight is host threads, not nodes — an event-engine job runs
-        // its whole machine on one thread, so it always admits.
-        let weight = cubemm_harness::node_weight(req.engine, req.p);
-        if let Err(BudgetError::ExceedsCapacity { want, capacity }) = shared.budget.admits(weight) {
-            let resp = JobResponse {
-                id: req.id,
-                status: JobStatus::Rejected {
-                    error: format!(
-                        "threaded machine of {want} nodes exceeds the pool's node budget of \
-                         {capacity} (an event-engine job of any size admits)"
-                    ),
-                },
-            };
-            lock(&shared.stats).rejected += 1;
-            responder(resp);
-            return false;
-        }
         let mut st = lock(&shared.state);
         if st.draining {
             drop(st);
@@ -380,16 +351,8 @@ fn worker_loop(shared: &Shared) {
                 st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Admission by host threads actually spawned: a threaded
-        // 512-node job waits for budget while 8-node jobs stream past
-        // on other workers; an event-engine job multiplexes every node
-        // onto this worker's thread, so it weighs 1 whatever its `p`.
-        let permit = shared
-            .budget
-            .acquire(cubemm_harness::node_weight(job.req.engine, job.req.p));
         let prepared = cached_machine(shared, &job.req);
         let outcome = execute_on(&job.req, prepared);
-        drop(permit);
         {
             let mut stats = lock(&shared.stats);
             match &outcome.response.status {
@@ -485,29 +448,6 @@ mod tests {
             .all(|r| matches!(r.status, JobStatus::Ok { .. })));
     }
 
-    #[test]
-    fn oversized_jobs_are_rejected_not_queued() {
-        let pool = ServePool::start(ServeConfig {
-            workers: 1,
-            node_budget: 64,
-            ..ServeConfig::default()
-        });
-        let (responder, seen) = collector();
-        // Node-budget admission is a per-OS-thread bound, so only the
-        // threaded engine can exceed it.
-        assert!(!pool.submit(
-            req(r#"{"id":"big","n":128,"p":128,"algo":"cannon","engine":"threaded"}"#),
-            Arc::clone(&responder)
-        ));
-        let stats = pool.drain();
-        assert_eq!(stats.rejected, 1);
-        let seen = lock(&seen);
-        match &seen[0].status {
-            JobStatus::Rejected { error } => assert!(error.contains("node budget"), "{error}"),
-            other => panic!("expected rejected, got {other:?}"),
-        }
-    }
-
     /// Wedges the pool's single worker on one job (the responder blocks
     /// until released), so queue-level behavior can be asserted
     /// deterministically.
@@ -535,7 +475,6 @@ mod tests {
         let pool = ServePool::start(ServeConfig {
             workers: 1,
             queue_cap: 2,
-            ..ServeConfig::default()
         });
         let (release, _started) = wedge(&pool);
         let (responder, seen) = collector();
@@ -569,7 +508,6 @@ mod tests {
         let pool = ServePool::start(ServeConfig {
             workers: 1,
             queue_cap: 2,
-            ..ServeConfig::default()
         });
         let (release, _started) = wedge(&pool);
         let (responder, seen) = collector();
@@ -709,33 +647,6 @@ mod tests {
             stats.machine_reuses, 1,
             "only the post-quarantine pair shares a boot"
         );
-    }
-
-    #[test]
-    fn event_engine_jobs_admit_machines_beyond_the_node_budget() {
-        let pool = ServePool::start(ServeConfig {
-            workers: 1,
-            node_budget: 64,
-            ..ServeConfig::default()
-        });
-        let (responder, seen) = collector();
-        // A threaded 256-node machine can never fit 64 threads; the
-        // same job under the (default) event engine weighs one thread
-        // and runs.
-        assert!(!pool.submit(
-            req(r#"{"id":"th","n":32,"p":256,"algo":"cannon","abft":false,"engine":"threaded"}"#),
-            Arc::clone(&responder)
-        ));
-        assert!(pool.submit(
-            req(r#"{"id":"ev","n":32,"p":256,"algo":"cannon","abft":false}"#),
-            Arc::clone(&responder)
-        ));
-        let stats = pool.drain();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.ok, 1);
-        let seen = lock(&seen);
-        let ev = seen.iter().find(|r| r.id == "ev").expect("answered");
-        assert!(matches!(ev.status, JobStatus::Ok { .. }), "{:?}", ev.status);
     }
 
     #[test]

@@ -49,10 +49,9 @@ pub struct JobRequest {
     pub kernel: Kernel,
     /// `"one"` (default) or `"multi"` port model.
     pub port: PortModel,
-    /// `"event"` (default) or `"threaded"` execution engine. Results
-    /// are bitwise identical; `event` jobs cost one pool thread
-    /// regardless of `p`, so they admit machines far beyond the node
-    /// budget.
+    /// Execution engine: absent or `"event"`, the only engine. Any other
+    /// value (`"threaded"` included) is answered `malformed`, naming the
+    /// field. Responses do not echo it.
     pub engine: Engine,
     /// Message start-up cost (default: the paper's 150).
     pub ts: f64,
@@ -84,11 +83,6 @@ pub enum JobStatus {
     Ok {
         /// The algorithm that ran (resolved, if the request said auto).
         algo: &'static str,
-        /// The execution engine of the machine that actually ran the
-        /// job — read back from the run's machine configuration, not
-        /// echoed from the request, so a client can audit which engine
-        /// produced the answer.
-        engine: Engine,
         /// Virtual communication time of the final attempt.
         elapsed: f64,
         /// Total virtual backoff charged by recovery retries.
@@ -106,8 +100,8 @@ pub enum JobStatus {
         /// Deterministic backpressure hint derived from queue depth.
         retry_after_ms: u64,
     },
-    /// The job can never run here (oversized for the node budget,
-    /// unknown algorithm for the shape, service draining).
+    /// The job will not run here: no algorithm accepts its shape, or
+    /// the service is draining.
     Rejected {
         /// Why.
         error: String,
@@ -169,7 +163,6 @@ impl JobResponse {
         match &self.status {
             JobStatus::Ok {
                 algo,
-                engine,
                 elapsed,
                 backoff,
                 attempts,
@@ -177,7 +170,6 @@ impl JobResponse {
                 fingerprint,
             } => {
                 fields.push(("algo".into(), Json::Str((*algo).into())));
-                fields.push(("engine".into(), Json::Str(engine.to_string())));
                 fields.push(("elapsed".into(), Json::Num(*elapsed)));
                 fields.push(("backoff".into(), Json::Num(*backoff)));
                 fields.push(("attempts".into(), Json::Num(*attempts as f64)));
@@ -256,34 +248,6 @@ fn field_str<'a>(obj: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
     }
 }
 
-fn parse_kernel(s: &str) -> Result<Kernel, String> {
-    let (name, arg) = match s.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (s, None),
-    };
-    let num = |a: &str| {
-        a.parse::<usize>()
-            .map_err(|_| format!("kernel {s:?}: invalid number {a:?}"))
-    };
-    match (name, arg) {
-        ("naive", None) => Ok(Kernel::Naive),
-        ("ikj", None) => Ok(Kernel::Ikj),
-        ("blocked", None) => Ok(Kernel::Blocked(64)),
-        ("blocked", Some(a)) => {
-            let tile = num(a)?;
-            if tile == 0 {
-                return Err(format!("kernel {s:?}: tile must be positive"));
-            }
-            Ok(Kernel::Blocked(tile))
-        }
-        ("packed", None) => Ok(Kernel::packed()),
-        ("packed", Some(a)) => Ok(Kernel::packed_mt(num(a)?)),
-        _ => Err(format!(
-            "unknown kernel {s:?} (use naive|ikj|blocked[:TILE]|packed[:THREADS])"
-        )),
-    }
-}
-
 /// Parses one request line. `Err` carries `(id-if-recoverable, why)` so
 /// the caller can answer `malformed` with the client's own token when
 /// at least the `id` field was readable.
@@ -313,7 +277,9 @@ pub fn parse_request(line: &str) -> Result<JobRequest, (String, String)> {
     };
     let kernel = match field_str(&doc, "kernel").map_err(fail)? {
         None => Kernel::default(),
-        Some(s) => parse_kernel(s).map_err(|e| fail(format!("field \"kernel\": {e}")))?,
+        Some(s) => s
+            .parse::<Kernel>()
+            .map_err(|e| fail(format!("field \"kernel\": {e}")))?,
     };
     let port = match field_str(&doc, "port").map_err(fail)? {
         None | Some("one") | Some("one-port") => PortModel::OnePort,
@@ -449,12 +415,28 @@ mod tests {
     }
 
     #[test]
+    fn engine_field_accepts_only_event() {
+        for line in [
+            r#"{"id":"a","n":24,"p":16}"#,
+            r#"{"id":"e","n":24,"p":16,"engine":"event"}"#,
+        ] {
+            let req = parse_request(line).expect("absent or event engine parses");
+            assert_eq!(req.engine, Engine::Event);
+        }
+        for bad in [r#""threaded""#, r#""fiber""#, "3"] {
+            let line = format!(r#"{{"id":"t","n":24,"p":16,"engine":{bad}}}"#);
+            let (id, err) = parse_request(&line).unwrap_err();
+            assert_eq!(id, "t");
+            assert!(err.contains("\"engine\""), "{err}");
+        }
+    }
+
+    #[test]
     fn responses_encode_as_single_typed_lines() {
         let ok = JobResponse {
             id: "a".into(),
             status: JobStatus::Ok {
                 algo: "cannon",
-                engine: Engine::Event,
                 elapsed: 1234.5,
                 backoff: 16.0,
                 attempts: 2,
@@ -466,7 +448,7 @@ mod tests {
         assert!(!line.contains('\n'));
         let doc = cubemm_simnet::json::parse(&line).expect("valid JSON");
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
-        assert_eq!(doc.get("engine").and_then(Json::as_str), Some("event"));
+        assert_eq!(doc.get("engine"), None, "responses do not echo the engine");
         assert_eq!(doc.get("attempts").and_then(Json::as_index), Some(2));
         let over = JobResponse {
             id: "b".into(),

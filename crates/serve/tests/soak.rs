@@ -86,7 +86,6 @@ fn chaos_soak_never_drops_or_lies() {
     let pool = ServePool::start(ServeConfig {
         workers: 4,
         queue_cap: JOBS, // the soak measures correctness, not shedding
-        ..ServeConfig::default()
     });
     let responses: Arc<Mutex<Vec<JobResponse>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&responses);

@@ -135,11 +135,18 @@ impl Json {
     }
 }
 
-/// Parses a complete JSON document (trailing garbage is an error).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let one hostile line
+/// (`[[[[…`) overflow the stack and abort the process; no plan or
+/// request comes anywhere near this.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (trailing garbage is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`]).
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -163,10 +170,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, nested `depth` containers deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -177,12 +189,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
+                let key = match parse_value(bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key at byte {} is not a string", *pos)),
                 };
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -204,7 +216,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -316,6 +328,24 @@ mod tests {
         assert!(parse("[1, ]").is_err());
         assert!(parse("nope").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        // `depth` objects: depth - 1 keyed wrappers around an empty one.
+        let objects = |depth: usize| "{\"k\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for too_deep in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&too_deep).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+        }
+        // Far past any stack: answered with an error, not an abort.
+        for hostile in ["[".repeat(300_000), "{\"a\":".repeat(300_000)] {
+            let err = parse(&hostile).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+        }
     }
 
     #[test]

@@ -1,56 +1,62 @@
-//! The progress ledger: the central scheduler of the simulated machine.
+//! The progress ledger: the state the work-queue executor schedules
+//! from.
 //!
-//! One shared structure (a mutex-protected state block plus one condvar
-//! per node, std-only) tracks everything the engine needs to make
-//! scheduling decisions *exactly*:
+//! One boot owns one ledger. The executor and every node's [`Proc`]
+//! share it on the calling thread (`Rc`, interior `RefCell`), and it
+//! tracks everything a scheduling decision needs, *exactly*:
 //!
 //! * **per-node mailboxes** — an indexed slab keyed by `(from, tag)`, so
-//!   a receive is a direct map lookup instead of a channel drain;
-//! * **parked receives** — which nodes are blocked, and on which
-//!   `(from, tag)`;
-//! * **liveness** — how many nodes are still executing their program,
-//!   and how many messages sit undelivered in mailboxes.
+//!   a receive is a direct map lookup instead of a queue scan;
+//! * **parked receives** — which nodes are suspended, on which
+//!   `(from, tag)`, and at which virtual clock;
+//! * **liveness** — how many nodes are still executing their program.
 //!
-//! The bookkeeping buys two properties the old mpsc-channel engine
-//! could not provide:
+//! The bookkeeping buys two properties:
 //!
 //! 1. **Exact wakeups.** When a message is injected for a parked
-//!    receiver waiting on precisely that `(from, tag)`, the ledger
-//!    unparks it *at injection time* (under the same lock) and signals
-//!    its condvar. A parked node is therefore never woken by traffic it
-//!    cannot consume, and never re-scans a queue of unrelated messages.
+//!    receiver waiting on precisely that `(from, tag)`, the ledger hands
+//!    the envelope over and marks the receiver runnable at injection
+//!    time. A parked node is never resumed by traffic it cannot consume.
 //! 2. **Exact, instant deadlock detection.** A node only parks after
 //!    checking its mailbox, and a matching injection eagerly unparks its
-//!    target, so the invariant *"every parked node's awaited message is
-//!    absent"* holds whenever the lock is released. The moment every
-//!    live node is parked, no future injection is possible and the run
-//!    is deadlocked — detected in microseconds by whichever node parks
-//!    last (or finishes last), not by a 60-second host-time watchdog.
-//!    Virtual clocks never see host time, so detection latency cannot
-//!    leak into results.
+//!    target, so *"every parked node's awaited message is absent"* holds
+//!    between any two ledger calls. The moment every live node is
+//!    parked, no future injection is possible and the run is
+//!    deadlocked — detected by whichever node parks last (or finishes
+//!    last), with no host-time watchdog. Virtual clocks never see host
+//!    time, so detection cannot leak into results.
 //!
-//! Aborts (node panic, typed link failure, deadlock) ride the same
-//! condvars: `trigger` stores the first failure and broadcasts to every
-//! node, and unwinding receivers record the `(from, tag)` they were
-//! blocked on for the post-mortem report.
+//! Aborts (node panic, typed link failure, scheduled crash, deadlock)
+//! store the first failure and make every parked node runnable once, so
+//! each records the `(from, tag)` it was blocked on for the post-mortem
+//! report and unwinds.
+//!
+//! [`Proc`]: crate::Proc
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
 use std::task::Poll;
 
 use crate::machine::{Blocked, Failure};
 use crate::proc::Envelope;
+use crate::stats::NodeStats;
+use crate::trace::TraceEvent;
 
 /// Per-node mailbox: FIFO queues indexed by `(from, tag)`. Sender
-/// program order is preserved per key because injection appends under
-/// the global lock.
+/// program order is preserved per key because injection appends.
 type Mailbox = HashMap<(usize, u64), VecDeque<Envelope>>;
+
+/// A node's final statistics and trace, deposited when its [`Proc`]
+/// drops.
+///
+/// [`Proc`]: crate::Proc
+pub(crate) type NodeParts = (NodeStats, Vec<TraceEvent>);
 
 /// What [`Ledger::inject`] did with a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Delivery {
-    /// Queued in the destination mailbox (and the destination unparked
-    /// if it was waiting on exactly this `(from, tag)`).
+    /// Queued in the destination mailbox (or handed straight to the
+    /// destination if it was parked on exactly this `(from, tag)`).
     Delivered,
     /// The machine is aborting; the sender should unwind quietly.
     Aborting,
@@ -59,86 +65,82 @@ pub(crate) enum Delivery {
     DestFinished,
 }
 
-/// State protected by the ledger mutex.
+/// A suspended receive.
+#[derive(Debug, Clone, Copy)]
+struct Park {
+    from: usize,
+    tag: u64,
+    /// The node's virtual clock when it parked, as `f64::to_bits`
+    /// (monotone for non-negative clocks): its work-queue key.
+    clock: u64,
+}
+
 struct State {
     mailboxes: Vec<Mailbox>,
     /// Direct-handoff slot: a message injected while its receiver is
     /// parked on exactly that `(from, tag)` bypasses the mailbox and is
-    /// taken from here on wakeup. Single-slot by construction: filling
-    /// it unparks the receiver, so a second matching inject goes to the
-    /// mailbox, and the receiver drains the slot before parking again.
+    /// taken from here when the receiver resumes. Single-slot by
+    /// construction: filling it unparks the receiver, so a second
+    /// matching inject goes to the mailbox, and the receiver drains the
+    /// slot before parking again.
     handoff: Vec<Option<Envelope>>,
-    /// `Some((from, tag))` while a node is blocked in a receive.
-    parked: Vec<Option<(usize, u64)>>,
+    parked: Vec<Option<Park>>,
     /// Whether each node has finished (returned or unwound).
     done: Vec<bool>,
     /// Nodes still executing their program.
     live: usize,
-    /// Nodes currently blocked in a receive.
+    /// Nodes currently parked in a receive.
     parked_count: usize,
-    /// Messages sitting in mailboxes that no receive has consumed yet.
-    in_flight: usize,
     aborting: bool,
     /// First failure wins; later ones are cascading victims.
     failure: Option<Failure>,
     /// Parked receives recorded as nodes unwind, for the deadlock report.
     blocked: Vec<Blocked>,
-    /// Event engine only: nodes unparked by a direct handoff since the
-    /// executor last drained the list. Never grows past one entry per
-    /// poll step because the executor drains after every poll.
-    woken: Vec<usize>,
+    /// Nodes made runnable (by a handoff or an abort) since the executor
+    /// last drained the list, as `(clock bits, node)`.
+    runnable: Vec<(u64, usize)>,
+    /// Per-node final parts, filled as each `Proc` drops.
+    parts: Vec<Option<NodeParts>>,
 }
 
-/// The shared scheduler structure (see module docs).
+/// The shared scheduler state of one boot (see module docs).
 pub(crate) struct Ledger {
-    state: Mutex<State>,
-    /// One condvar per node: a wakeup targets exactly one parked
-    /// receiver (aborts broadcast to all). Unused — and never waited
-    /// on — under the event engine.
-    signals: Vec<Condvar>,
-    /// Event engine: record handoff wakeups in `State::woken` for the
-    /// executor instead of signalling condvars (no thread is parked).
-    track_wakes: bool,
+    state: RefCell<State>,
 }
 
-/// Locks ignoring poisoning: the protected state stays consistent under
-/// every partial update we perform, and panicking nodes are the normal
-/// case here.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// What a finished boot left in its ledger.
+pub(crate) struct Outcome {
+    /// The first failure, if the run failed.
+    pub(crate) failure: Option<Failure>,
+    /// Blocked receives recorded during the abort, sorted by node label.
+    pub(crate) blocked: Vec<Blocked>,
+    /// Per-node parts, indexed by node label.
+    pub(crate) parts: Vec<Option<NodeParts>>,
 }
 
 impl Ledger {
-    pub(crate) fn new(p: usize, track_wakes: bool) -> Self {
+    pub(crate) fn new(p: usize) -> Self {
         Ledger {
-            state: Mutex::new(State {
+            state: RefCell::new(State {
                 mailboxes: (0..p).map(|_| HashMap::new()).collect(),
                 handoff: (0..p).map(|_| None).collect(),
                 parked: vec![None; p],
                 done: vec![false; p],
                 live: p,
                 parked_count: 0,
-                in_flight: 0,
                 aborting: false,
                 failure: None,
                 blocked: Vec::new(),
-                woken: Vec::new(),
+                runnable: Vec::new(),
+                parts: (0..p).map(|_| None).collect(),
             }),
-            // The event engine never waits on a condvar; skip the
-            // allocation (p can be 65536).
-            signals: if track_wakes {
-                Vec::new()
-            } else {
-                (0..p).map(|_| Condvar::new()).collect()
-            },
-            track_wakes,
         }
     }
 
-    /// Queues `env` for `to`, waking `to` iff it is parked on exactly
-    /// `(env.from, env.tag)`.
+    /// Queues `env` for `to`, handing it over directly (and making `to`
+    /// runnable) iff `to` is parked on exactly `(env.from, env.tag)`.
     pub(crate) fn inject(&self, to: usize, env: Envelope) -> Delivery {
-        let mut s = lock(&self.state);
+        let s = &mut *self.state.borrow_mut();
         if s.done[to] {
             return if s.aborting {
                 Delivery::Aborting
@@ -146,122 +148,41 @@ impl Ledger {
                 Delivery::DestFinished
             };
         }
-        let key = (env.from, env.tag);
-        if s.parked[to] == Some(key) {
-            // Exact wakeup: hand the envelope straight to the waiting
-            // receiver and unpark it here — it is logically runnable
-            // from this instant, and the deadlock predicate must see it
-            // that way even before its thread is scheduled. Notify after
-            // releasing the lock so the woken thread does not immediately
-            // block on the mutex we still hold.
-            debug_assert!(s.handoff[to].is_none());
-            s.handoff[to] = Some(env);
-            s.parked[to] = None;
-            s.parked_count -= 1;
-            if self.track_wakes {
-                // Event engine: the receiver has no thread to signal;
-                // queue it for the executor instead.
-                s.woken.push(to);
+        if let Some(park) = s.parked[to] {
+            if (park.from, park.tag) == (env.from, env.tag) {
+                // Exact wakeup: the receiver is logically runnable from
+                // this instant, and the deadlock predicate must see it
+                // that way before the executor resumes it.
+                debug_assert!(s.handoff[to].is_none());
+                s.handoff[to] = Some(env);
+                s.parked[to] = None;
+                s.parked_count -= 1;
+                s.runnable.push((park.clock, to));
                 return Delivery::Delivered;
             }
-            drop(s);
-            self.signals[to].notify_one();
-            return Delivery::Delivered;
         }
-        s.mailboxes[to].entry(key).or_default().push_back(env);
-        s.in_flight += 1;
+        s.mailboxes[to]
+            .entry((env.from, env.tag))
+            .or_default()
+            .push_back(env);
         Delivery::Delivered
     }
 
-    /// Blocks until the message tagged `(from, tag)` sent to `id` is
-    /// available and returns it. `Err(())` means the machine aborted
-    /// while waiting (the blocked receive has been recorded for the
-    /// post-mortem report); the caller must unwind quietly.
-    pub(crate) fn receive(&self, id: usize, from: usize, tag: u64) -> Result<Envelope, ()> {
-        use std::collections::hash_map::Entry;
-        // Before parking (a futex wait plus a futex wake on the sender's
-        // side), yield the core a couple of times: if the awaited sender
-        // is runnable it will usually inject the message into the
-        // mailbox meanwhile, and the receive completes without any
-        // condvar traffic. Only worthwhile while few nodes are live —
-        // with many runnable threads a yield rarely lands on the awaited
-        // sender and just churns the scheduler. Misses fall through to
-        // an exact parked wait, so deadlock detection is unaffected.
-        const PRE_PARK_YIELDS: u32 = 2;
-        const YIELD_LIVE_LIMIT: usize = 32;
-        let mut yields = 0;
-        let mut s = lock(&self.state);
-        loop {
-            if s.aborting {
-                s.blocked.push(Blocked {
-                    node: id,
-                    from,
-                    tag,
-                });
-                return Err(());
-            }
-            if let Some(env) = s.handoff[id].take() {
-                debug_assert!(env.from == from && env.tag == tag);
-                return Ok(env);
-            }
-            if let Entry::Occupied(mut entry) = s.mailboxes[id].entry((from, tag)) {
-                if let Some(env) = entry.get_mut().pop_front() {
-                    if entry.get().is_empty() {
-                        // Keep the slab from accumulating dead keys when
-                        // programs tag each round uniquely.
-                        entry.remove();
-                    }
-                    s.in_flight -= 1;
-                    return Ok(env);
-                }
-            }
-            if yields < PRE_PARK_YIELDS
-                && s.live > 1
-                && s.live <= YIELD_LIVE_LIMIT
-                && s.parked[id].is_none()
-            {
-                yields += 1;
-                drop(s);
-                std::thread::yield_now();
-                s = lock(&self.state);
-                continue;
-            }
-            if s.parked[id].is_none() {
-                s.parked[id] = Some((from, tag));
-                s.parked_count += 1;
-                if s.parked_count == s.live {
-                    // Every live node is blocked and no matching message
-                    // exists (a matching inject would have unparked its
-                    // target): the run can never progress again.
-                    self.declare_deadlock(&mut s);
-                    continue; // loop top records this node and unwinds
-                }
-            }
-            s = self.signals[id].wait(s).unwrap_or_else(|e| e.into_inner());
-            // Woken: by a matching inject (parked[id] cleared), by an
-            // abort broadcast, or spuriously (still parked — wait more).
-        }
-    }
-
-    /// The event engine's [`Ledger::receive`]: one non-blocking pass of
-    /// the same check-then-park protocol. `Ready(Ok)` hands over the
-    /// matching envelope; `Pending` means the node parked (the executor
-    /// suspends its continuation until [`Ledger::drain_woken`] names it);
-    /// `Ready(Err(()))` means the machine aborted (the blocked receive
-    /// has been recorded) and the caller must unwind quietly.
-    ///
-    /// The park-after-check invariant and the `parked_count == live`
-    /// deadlock predicate are shared verbatim with the threaded path —
-    /// only the waiting mechanism differs (a suspended future instead of
-    /// a condvar wait).
+    /// One pass of the check-then-park receive protocol for node `id`
+    /// at virtual time `clock`. `Ready(Ok)` hands over the matching
+    /// envelope; `Pending` means the node parked (the executor resumes
+    /// it once a handoff or an abort makes it runnable); `Ready(Err(()))`
+    /// means the machine aborted (the blocked receive has been recorded)
+    /// and the caller must unwind quietly.
     pub(crate) fn poll_receive(
         &self,
         id: usize,
         from: usize,
         tag: u64,
+        clock: f64,
     ) -> Poll<Result<Envelope, ()>> {
         use std::collections::hash_map::Entry;
-        let mut s = lock(&self.state);
+        let s = &mut *self.state.borrow_mut();
         loop {
             if s.aborting {
                 s.blocked.push(Blocked {
@@ -278,17 +199,25 @@ impl Ledger {
             if let Entry::Occupied(mut entry) = s.mailboxes[id].entry((from, tag)) {
                 if let Some(env) = entry.get_mut().pop_front() {
                     if entry.get().is_empty() {
+                        // Keep the slab from accumulating dead keys when
+                        // programs tag each round uniquely.
                         entry.remove();
                     }
-                    s.in_flight -= 1;
                     return Poll::Ready(Ok(env));
                 }
             }
             if s.parked[id].is_none() {
-                s.parked[id] = Some((from, tag));
+                s.parked[id] = Some(Park {
+                    from,
+                    tag,
+                    clock: clock.to_bits(),
+                });
                 s.parked_count += 1;
                 if s.parked_count == s.live {
-                    self.declare_deadlock(&mut s);
+                    // Every live node is parked and no matching message
+                    // exists (a matching inject would have unparked its
+                    // target): the run can never progress again.
+                    declare_deadlock(s);
                     continue; // loop top records this node and errors out
                 }
             }
@@ -296,42 +225,25 @@ impl Ledger {
         }
     }
 
-    /// Event engine: takes the nodes unparked by handoffs since the last
-    /// drain. The executor calls this after every poll step.
-    pub(crate) fn drain_woken(&self) -> Vec<usize> {
-        std::mem::take(&mut lock(&self.state).woken)
+    /// Moves the nodes made runnable since the last call into `out`
+    /// (cleared first) as `(clock bits, node)` work-queue entries.
+    pub(crate) fn drain_runnable(&self, out: &mut Vec<(u64, usize)>) {
+        out.clear();
+        std::mem::swap(&mut self.state.borrow_mut().runnable, out);
     }
 
-    /// Whether the machine is aborting (event-engine executor check).
-    pub(crate) fn is_aborting(&self) -> bool {
-        lock(&self.state).aborting
-    }
-
-    /// Whether `id` is parked in a receive (event-engine sanity check:
-    /// a `Pending` poll from a node that is not parked means the program
+    /// Whether `id` is parked in a receive (executor sanity check: a
+    /// `Pending` poll from a node that is not parked means the program
     /// awaited something that is not a simnet primitive).
     pub(crate) fn is_parked(&self, id: usize) -> bool {
-        lock(&self.state).parked[id].is_some()
-    }
-
-    /// Every node currently parked in a receive. The event-engine
-    /// executor re-polls these once after an abort so each records its
-    /// [`Blocked`] receive and unwinds, exactly as the condvar broadcast
-    /// unblocks parked threads under the threaded engine.
-    pub(crate) fn parked_nodes(&self) -> Vec<usize> {
-        lock(&self.state)
-            .parked
-            .iter()
-            .enumerate()
-            .filter_map(|(id, key)| key.map(|_| id))
-            .collect()
+        self.state.borrow().parked[id].is_some()
     }
 
     /// Marks a node finished (normal return or unwind), releasing any
     /// parked slot it held and re-checking the deadlock predicate: if
     /// the nodes that remain are all parked, nobody can feed them.
     pub(crate) fn finish(&self, id: usize) {
-        let mut s = lock(&self.state);
+        let s = &mut *self.state.borrow_mut();
         if s.parked[id].take().is_some() {
             s.parked_count -= 1;
         }
@@ -340,46 +252,64 @@ impl Ledger {
             s.live -= 1;
         }
         if !s.aborting && s.live > 0 && s.parked_count == s.live {
-            self.declare_deadlock(&mut s);
+            declare_deadlock(s);
         }
     }
 
-    /// Records a failure (keeping the first) and wakes every node.
+    /// Records a failure (keeping the first) and aborts the run.
     pub(crate) fn trigger(&self, failure: Failure) {
-        let mut s = lock(&self.state);
+        let s = &mut *self.state.borrow_mut();
         s.failure.get_or_insert(failure);
-        self.abort_and_broadcast(&mut s);
+        abort(s);
     }
 
-    /// Takes the run outcome after every thread joined: the first
-    /// failure (if any) and the blocked receives, sorted by node label.
-    pub(crate) fn take_outcome(&self) -> (Option<Failure>, Vec<Blocked>) {
-        let mut s = lock(&self.state);
-        let failure = s.failure.take();
+    /// Stores node `id`'s final statistics and trace. Called from
+    /// `Proc::drop`, so it must not panic: no ledger borrow is live when
+    /// a node future drops (unwinding releases them first), and if one
+    /// were, the parts are dropped and the run fails on the missing
+    /// parts instead of aborting the process.
+    pub(crate) fn deposit(&self, id: usize, parts: NodeParts) {
+        if let Ok(mut s) = self.state.try_borrow_mut() {
+            s.parts[id] = Some(parts);
+        }
+    }
+
+    /// Takes the run outcome once every node has finished.
+    pub(crate) fn take_outcome(&self) -> Outcome {
+        let s = &mut *self.state.borrow_mut();
         let mut blocked = std::mem::take(&mut s.blocked);
         blocked.sort_by_key(|b| b.node);
-        (failure, blocked)
+        Outcome {
+            failure: s.failure.take(),
+            blocked,
+            parts: std::mem::take(&mut s.parts),
+        }
     }
+}
 
-    fn declare_deadlock(&self, s: &mut State) {
-        debug_assert!(
-            s.parked
-                .iter()
-                .enumerate()
-                .filter_map(|(id, key)| key.map(|k| (id, k)))
-                .all(|(id, key)| s.mailboxes[id].get(&key).is_none_or(VecDeque::is_empty)),
-            "deadlock declared while a parked node's message was deliverable"
-        );
-        s.failure.get_or_insert(Failure::Deadlock);
-        self.abort_and_broadcast(s);
+fn declare_deadlock(s: &mut State) {
+    debug_assert!(
+        s.parked
+            .iter()
+            .enumerate()
+            .filter_map(|(id, park)| park.map(|k| (id, (k.from, k.tag))))
+            .all(|(id, key)| s.mailboxes[id].get(&key).is_none_or(VecDeque::is_empty)),
+        "deadlock declared while a parked node's message was deliverable"
+    );
+    s.failure.get_or_insert(Failure::Deadlock);
+    abort(s);
+}
+
+/// Enters the aborting state once, making every parked node runnable so
+/// it records its blocked receive and unwinds.
+fn abort(s: &mut State) {
+    if s.aborting {
+        return;
     }
-
-    fn abort_and_broadcast(&self, s: &mut State) {
-        if !s.aborting {
-            s.aborting = true;
-            for cv in &self.signals {
-                cv.notify_all();
-            }
+    s.aborting = true;
+    for (id, park) in s.parked.iter().enumerate() {
+        if let Some(park) = park {
+            s.runnable.push((park.clock, id));
         }
     }
 }

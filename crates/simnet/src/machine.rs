@@ -1,65 +1,46 @@
 //! Building and booting a simulated machine: the [`Machine::builder`]
-//! surface, the two execution engines, and the run outcome types.
+//! surface, the work-queue executor, and the run outcome types.
 //!
 //! # Node programs are resumable step functions
 //!
 //! A node program is an async function `Fn(Proc, I) -> Future<Output = O>`:
 //! the compiler turns it into a state machine whose suspension points are
 //! exactly the simulator's blocking primitives ([`Proc::recv`],
-//! [`Proc::multi`], [`Proc::exchange`]). Both engines drive the *same*
-//! program values:
+//! [`Proc::multi`], [`Proc::exchange`]). [`Machine::run`] keeps every node
+//! future on the calling thread: a blocking primitive parks the node's
+//! *continuation* in the progress ledger, and a work queue ordered by
+//! virtual clock resumes whichever runnable node has the smallest clock.
+//! One host thread therefore simulates any `p` — machines of 4096–65536
+//! nodes boot in milliseconds.
 //!
-//! * [`Engine::Threaded`] spawns one OS thread per node; a blocking
-//!   primitive parks the thread on the progress ledger's condvars, so each
-//!   node future completes in a single poll. This is the PR 4 engine,
-//!   preserved verbatim.
-//! * [`Engine::Event`] runs every node on the calling thread: a blocking
-//!   primitive parks the *continuation* as a per-node work item, and a
-//!   virtual-clock-ordered work queue resumes whichever runnable node has
-//!   the smallest clock. This removes the OS-thread cap on `p` — machines
-//!   of 4096–65536 nodes boot in milliseconds.
-//!
-//! Both engines share one progress ledger, so the exact `(from, tag)` FIFO
-//! matching, first-failure-wins abort, and instant deadlock detection are
-//! byte-for-byte the same code path; and because clock arithmetic depends
-//! only on per-sender program order and matched receives (crate docs,
-//! *Determinism*), the two engines produce bitwise-identical stats and
-//! traces.
+//! The ledger provides exact `(from, tag)` FIFO matching,
+//! first-failure-wins abort, and instant deadlock detection. Because
+//! clock arithmetic depends only on per-sender program order and matched
+//! receives (crate docs, *Determinism*), the order in which the host
+//! resumes runnable nodes never changes stats, traces, or outputs.
 
 use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use cubemm_topology::log2_exact;
 
 use crate::faults::{FaultPlan, SendError};
-use crate::ledger::{lock, Ledger};
-use crate::stats::{NodeStats, RunStats};
-use crate::trace::TraceEvent;
+use crate::ledger::Ledger;
+use crate::stats::RunStats;
 use crate::{ChargePolicy, CostParams, LinkTopology, PortModel, Proc};
 
-/// Which execution engine boots the node programs (see module docs).
-///
-/// Engine choice never changes results: stats, traces, outputs, and
-/// failure reports are bitwise identical (pinned by the
-/// `engine_equivalence` test suite). It only changes *how* the host
-/// executes the simulation: `Threaded` burns one OS thread per node and
-/// exercises real concurrency; `Event` runs any `p` on one thread.
+/// The execution engine. The virtual-clock work queue is the only one;
+/// the type remains so configurations and requests that name an engine
+/// keep parsing, and it accepts exactly `"event"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// One OS thread per virtual node (the PR 4 engine). Opt-in via
-    /// `--engine threaded` / [`MachineBuilder::engine`]; still valuable
-    /// because it exercises real concurrency against the ledger.
-    Threaded,
     /// Single-threaded discrete-event execution ordered by virtual
     /// clock: node programs suspend at blocking primitives and resume
-    /// from a work queue. The default — identical results to
-    /// `Threaded`, and the only engine that scales past a few hundred
-    /// nodes.
+    /// from a work queue.
     #[default]
     Event,
 }
@@ -67,7 +48,6 @@ pub enum Engine {
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Engine::Threaded => write!(f, "threaded"),
             Engine::Event => write!(f, "event"),
         }
     }
@@ -78,10 +58,9 @@ impl std::str::FromStr for Engine {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "threaded" => Ok(Engine::Threaded),
             "event" => Ok(Engine::Event),
             other => Err(format!(
-                "unknown engine {other:?} (expected threaded or event)"
+                "unknown engine {other:?} (the only engine is event)"
             )),
         }
     }
@@ -106,14 +85,11 @@ pub struct MachineOptions {
     /// Deterministic fault injection (empty — a healthy machine — by
     /// default; an empty plan changes no clock arithmetic).
     pub faults: FaultPlan,
-    /// Execution engine (event-driven by default; results are
-    /// identical either way).
-    pub engine: Engine,
 }
 
 impl MachineOptions {
     /// The paper's machine: given port model and costs, sender-charged,
-    /// full hypercube, untraced, fault-free, event engine.
+    /// full hypercube, untraced, fault-free.
     pub fn paper(port: PortModel, cost: CostParams) -> Self {
         MachineOptions {
             port,
@@ -122,7 +98,6 @@ impl MachineOptions {
             links: LinkTopology::Hypercube,
             traced: false,
             faults: FaultPlan::new(),
-            engine: Engine::Event,
         }
     }
 }
@@ -270,39 +245,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-node channel between a [`Proc`] and its engine, shared by `Arc`.
-///
-/// * `clock_bits` mirrors the node's virtual clock (as `f64::to_bits`,
-///   monotone for non-negative clocks) so the event executor can order
-///   its work queue without touching the `Proc` that owns the clock. The
-///   mirror is refreshed every time the node is about to suspend.
-/// * `parts` carries the node's final statistics and trace out of the
-///   program: [`Proc`]'s `Drop` impl fills it whether the async body
-///   returned normally or unwound, so the engine reads it after the node
-///   future is dropped.
-#[derive(Debug, Default)]
-pub(crate) struct NodeSlot {
-    pub(crate) clock_bits: AtomicU64,
-    pub(crate) parts: Mutex<Option<(NodeStats, Vec<TraceEvent>)>>,
-}
-
-/// Drives a node future to completion on the current thread. Blocking
-/// primitives under the threaded engine wait on ledger condvars *inside*
-/// `poll`, so a healthy node completes in exactly one poll; `Pending` is
-/// only reachable by awaiting something that is not a simnet primitive,
-/// which the node-program contract forbids.
-fn block_on<Fut: Future>(fut: Fut) -> Fut::Output {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = Context::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(out) => out,
-        Poll::Pending => panic!(
-            "node program suspended on a non-simnet future \
-             (only Proc primitives may be awaited)"
-        ),
-    }
-}
-
 /// A machine whose configuration has been validated **once**, ready to
 /// boot any number of times without re-validation.
 ///
@@ -337,12 +279,12 @@ pub struct Machine {
     options: MachineOptions,
 }
 
-/// Typed construction surface for [`Machine`]: engine selection,
-/// tracing, fault plan, charging policy, link topology.
+/// Typed construction surface for [`Machine`]: tracing, fault plan,
+/// charging policy, link topology.
 ///
 /// Every knob defaults to the paper's machine (one-port,
 /// [`CostParams::PAPER`], sender-charged, full hypercube, untraced,
-/// fault-free, threaded engine); set what differs and [`build`].
+/// fault-free); set what differs and [`build`].
 ///
 /// [`build`]: MachineBuilder::build
 #[derive(Debug, Clone)]
@@ -387,13 +329,6 @@ impl MachineBuilder {
     /// Deterministic fault plan (default empty/healthy).
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.options.faults = faults;
-        self
-    }
-
-    /// Execution engine (default [`Engine::Event`]; results are
-    /// identical either way — see [`Engine`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.options.engine = engine;
         self
     }
 
@@ -446,9 +381,9 @@ impl Machine {
         &self.options
     }
 
-    /// Boots the machine: runs `program` as an SPMD job on every node
-    /// under the configured [`Engine`], skipping every already-performed
-    /// configuration check (only the init count is per-run).
+    /// Boots the machine: runs `program` as an SPMD job on every node,
+    /// skipping every already-performed configuration check (only the
+    /// init count is per-run).
     ///
     /// `inits[i]` is handed to node `i` as its initial local data — the
     /// paper's algorithms all start from an *assumed* initial
@@ -460,7 +395,7 @@ impl Machine {
     /// every blocked node and the `(from, tag)` it awaited), node
     /// panics, typed link faults, and scheduled crashes are all values.
     /// When any node fails, the progress ledger aborts the whole run
-    /// promptly under either engine.
+    /// promptly.
     ///
     /// ```
     /// use cubemm_simnet::{FaultPlan, Machine, RunError};
@@ -484,132 +419,42 @@ impl Machine {
     /// ```
     pub fn run<I, O, F, Fut>(&self, inits: Vec<I>, program: F) -> Result<RunOutcome<O>, RunError>
     where
-        I: Send,
-        O: Send,
-        F: Fn(Proc, I) -> Fut + Sync,
-        Fut: Future<Output = O>,
-    {
-        if inits.len() != self.p {
-            return Err(RunError::Config(format!(
-                "need exactly one initial-data entry per node: got {} for p = {}",
-                inits.len(),
-                self.p
-            )));
-        }
-        match self.options.engine {
-            Engine::Threaded => self.run_threaded(inits, &program),
-            Engine::Event => self.run_event(inits, &program),
-        }
-    }
-
-    /// The PR 4 engine: one scoped OS thread per node; node futures
-    /// complete in a single poll because blocking primitives wait on the
-    /// ledger's condvars inside `poll`.
-    fn run_threaded<I, O, F, Fut>(
-        &self,
-        inits: Vec<I>,
-        program: &F,
-    ) -> Result<RunOutcome<O>, RunError>
-    where
-        I: Send,
-        O: Send,
-        F: Fn(Proc, I) -> Fut + Sync,
-        Fut: Future<Output = O>,
-    {
-        let (p, dim, options) = (self.p, self.dim, &self.options);
-        let ledger = Arc::new(Ledger::new(p, false));
-        let slots: Vec<Arc<NodeSlot>> = (0..p).map(|_| Arc::new(NodeSlot::default())).collect();
-        let faults = (!options.faults.is_empty()).then(|| Arc::new(options.faults.clone()));
-
-        let mut outputs: Vec<Option<O>> = Vec::with_capacity(p);
-        outputs.resize_with(p, || None);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (id, init) in inits.into_iter().enumerate() {
-                let ledger = Arc::clone(&ledger);
-                let slot = Arc::clone(&slots[id]);
-                let faults = faults.clone();
-                handles.push(scope.spawn(move || {
-                    let body = AssertUnwindSafe(|| {
-                        let proc = Proc::new(id, dim, options, faults, Arc::clone(&ledger), slot);
-                        block_on(program(proc, init))
-                    });
-                    let result = match catch_unwind(body) {
-                        Ok(out) => Some(out),
-                        Err(payload) => {
-                            // Quiet unwinds already registered their failure
-                            // (or are cascading victims); anything else is a
-                            // genuine program panic. Trigger BEFORE finish so
-                            // the genuine failure wins the first-failure slot
-                            // even if finishing would also declare deadlock.
-                            if !payload.is::<Aborted>() {
-                                ledger.trigger(Failure::Panicked {
-                                    node: id,
-                                    message: panic_message(payload.as_ref()),
-                                });
-                            }
-                            None
-                        }
-                    };
-                    ledger.finish(id);
-                    result
-                }));
-            }
-            for (id, handle) in handles.into_iter().enumerate() {
-                // The closure catches every unwind, so the join itself only
-                // fails on catastrophic runtime errors.
-                if let Ok(result) = handle.join() {
-                    outputs[id] = result;
-                }
-            }
-        });
-
-        finish_outcome(&ledger, outputs, &slots)
-    }
-
-    /// The discrete-event engine: all node futures live on the calling
-    /// thread; a work queue ordered by `(virtual clock, node id)` picks
-    /// the next runnable continuation. A poll runs the node until it
-    /// completes or parks in the ledger; handoff injections unpark their
-    /// target, which re-enters the queue at its park-time clock.
-    fn run_event<I, O, F, Fut>(&self, inits: Vec<I>, program: &F) -> Result<RunOutcome<O>, RunError>
-    where
         F: Fn(Proc, I) -> Fut,
         Fut: Future<Output = O>,
     {
         use std::cmp::Reverse;
 
-        let (p, dim, options) = (self.p, self.dim, &self.options);
-        let ledger = Arc::new(Ledger::new(p, true));
-        let slots: Vec<Arc<NodeSlot>> = (0..p).map(|_| Arc::new(NodeSlot::default())).collect();
-        let faults = (!options.faults.is_empty()).then(|| Arc::new(options.faults.clone()));
+        let p = self.p;
+        if inits.len() != p {
+            return Err(RunError::Config(format!(
+                "need exactly one initial-data entry per node: got {} for p = {p}",
+                inits.len(),
+            )));
+        }
+        let options = &self.options;
+        let ledger = Rc::new(Ledger::new(p));
+        let faults = (!options.faults.is_empty()).then(|| Rc::new(options.faults.clone()));
 
         let mut outputs: Vec<Option<O>> = Vec::with_capacity(p);
         outputs.resize_with(p, || None);
-        let mut futures: Vec<Option<Pin<Box<Fut>>>> = Vec::with_capacity(p);
-        for (id, init) in inits.into_iter().enumerate() {
-            let proc = Proc::new(
-                id,
-                dim,
-                options,
-                faults.clone(),
-                Arc::clone(&ledger),
-                Arc::clone(&slots[id]),
-            );
-            futures.push(Some(Box::pin(program(proc, init))));
-        }
+        let mut futures: Vec<Option<Pin<Box<Fut>>>> = inits
+            .into_iter()
+            .enumerate()
+            .map(|(id, init)| {
+                let proc = Proc::new(id, self.dim, options, faults.clone(), Rc::clone(&ledger));
+                Some(Box::pin(program(proc, init)))
+            })
+            .collect();
 
         // Min-queue on (clock bits, node id): non-negative f64 bit
         // patterns order like the floats, and the id tiebreak keeps the
-        // schedule deterministic. A node appears at most once: it is
-        // enqueued at creation, when a handoff unparks it, or (once) when
-        // an abort must unblock it — each strictly after it left the
-        // queue and parked.
+        // schedule deterministic. A node re-enters the queue only when
+        // the ledger makes it runnable (a handoff, or once when an abort
+        // must unblock it); stale entries for finished nodes are skipped.
         let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
             (0..p).map(|id| Reverse((0, id))).collect();
+        let mut runnable = Vec::new();
         let mut cx = Context::from_waker(Waker::noop());
-        let mut abort_seen = false;
 
         while let Some(Reverse((_, id))) = ready.pop() {
             let Some(fut) = futures[id].as_mut() else {
@@ -622,8 +467,6 @@ impl Machine {
                     ledger.finish(id);
                 }
                 Ok(Poll::Pending) => {
-                    // Suspended inside a ledger receive; the queue will
-                    // see it again via drain_woken (or the abort sweep).
                     assert!(
                         ledger.is_parked(id),
                         "node program suspended on a non-simnet future \
@@ -631,7 +474,11 @@ impl Machine {
                     );
                 }
                 Err(payload) => {
-                    // Same first-failure protocol as the threaded join.
+                    // Quiet unwinds already registered their failure (or
+                    // are cascading victims); anything else is a genuine
+                    // program panic. Trigger BEFORE finish so the genuine
+                    // failure wins the first-failure slot even if
+                    // finishing would also declare deadlock.
                     if !payload.is::<Aborted>() {
                         ledger.trigger(Failure::Panicked {
                             node: id,
@@ -642,70 +489,51 @@ impl Machine {
                     ledger.finish(id);
                 }
             }
-            for woken in ledger.drain_woken() {
-                let clock = slots[woken].clock_bits.load(Ordering::Relaxed);
-                ready.push(Reverse((clock, woken)));
-            }
-            if !abort_seen && ledger.is_aborting() {
-                abort_seen = true;
-                // Mirror the condvar broadcast: every parked node gets
-                // one more poll to record its Blocked receive and unwind.
-                for parked in ledger.parked_nodes() {
-                    let clock = slots[parked].clock_bits.load(Ordering::Relaxed);
-                    ready.push(Reverse((clock, parked)));
-                }
-            }
+            ledger.drain_runnable(&mut runnable);
+            ready.extend(runnable.iter().copied().map(Reverse));
         }
         debug_assert!(
             futures.iter().all(Option::is_none),
-            "event executor drained its queue with a node still suspended"
+            "executor drained its queue with a node still suspended"
         );
+        // Every `Proc` has dropped (and deposited its parts) by now.
+        drop(futures);
 
-        finish_outcome(&ledger, outputs, &slots)
-    }
-}
-
-/// Shared run epilogue: converts the ledger's failure record into a
-/// [`RunError`], or assembles the [`RunOutcome`] from per-node outputs
-/// and the stats/trace parts each [`Proc`] deposited in its slot.
-fn finish_outcome<O>(
-    ledger: &Ledger,
-    outputs: Vec<Option<O>>,
-    slots: &[Arc<NodeSlot>],
-) -> Result<RunOutcome<O>, RunError> {
-    let (failure, blocked) = ledger.take_outcome();
-    if let Some(failure) = failure {
-        return Err(match failure {
-            Failure::Deadlock => RunError::Deadlock { blocked },
-            Failure::Panicked { node, message } => RunError::NodePanicked { node, message },
-            Failure::Link { node, error } => RunError::LinkDead { node, error },
-            Failure::Crashed { node, step } => RunError::NodeCrashed { node, step },
-        });
-    }
-
-    let p = slots.len();
-    let mut outs = Vec::with_capacity(p);
-    let mut nodes = Vec::with_capacity(p);
-    let mut traces = Vec::with_capacity(p);
-    for (out, slot) in outputs.into_iter().zip(slots) {
-        #[allow(
-            clippy::expect_used,
-            reason = "failed nodes returned RunError above; every surviving output is Some \
-                      and every dropped Proc filled its slot"
-        )]
-        {
-            outs.push(out.expect("every node completed"));
-            let (stats, trace) = lock(&slot.parts).take().expect("node slot filled on drop");
-            nodes.push(stats);
-            traces.push(trace);
+        let outcome = ledger.take_outcome();
+        if let Some(failure) = outcome.failure {
+            return Err(match failure {
+                Failure::Deadlock => RunError::Deadlock {
+                    blocked: outcome.blocked,
+                },
+                Failure::Panicked { node, message } => RunError::NodePanicked { node, message },
+                Failure::Link { node, error } => RunError::LinkDead { node, error },
+                Failure::Crashed { node, step } => RunError::NodeCrashed { node, step },
+            });
         }
+
+        let mut outs = Vec::with_capacity(p);
+        let mut nodes = Vec::with_capacity(p);
+        let mut traces = Vec::with_capacity(p);
+        for (out, parts) in outputs.into_iter().zip(outcome.parts) {
+            #[allow(
+                clippy::expect_used,
+                reason = "failed nodes returned RunError above; every surviving output is Some \
+                          and every dropped Proc deposited its parts"
+            )]
+            {
+                outs.push(out.expect("every node completed"));
+                let (stats, trace) = parts.expect("node parts deposited on drop");
+                nodes.push(stats);
+                traces.push(trace);
+            }
+        }
+        let elapsed = nodes.iter().map(|n| n.clock).fold(0.0, f64::max);
+        Ok(RunOutcome {
+            outputs: outs,
+            stats: RunStats { elapsed, nodes },
+            traces,
+        })
     }
-    let elapsed = nodes.iter().map(|n| n.clock).fold(0.0, f64::max);
-    Ok(RunOutcome {
-        outputs: outs,
-        stats: RunStats { elapsed, nodes },
-        traces,
-    })
 }
 
 #[cfg(test)]
@@ -719,232 +547,211 @@ mod tests {
 
     const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
 
-    /// Both-engine test driver: the paper's machine at test costs.
-    fn machine(p: usize, port: PortModel, engine: Engine) -> Machine {
+    /// Test driver: the paper's machine at test costs.
+    fn machine(p: usize, port: PortModel) -> Machine {
         Machine::builder(p)
             .port(port)
             .cost(COST)
-            .engine(engine)
             .build()
             .expect("valid test machine")
     }
 
-    const ENGINES: [Engine; 2] = [Engine::Threaded, Engine::Event];
-
     #[test]
     fn neighbor_send_recv_costs_one_hop() {
         // Node 0 sends 5 words to node 1; both clocks end at ts + 5 tw.
-        for engine in ENGINES {
-            let out = machine(2, PortModel::OnePort, engine)
-                .run(vec![(), ()], |mut proc, ()| async move {
-                    if proc.id() == 0 {
-                        proc.send(1, 7, words(5));
-                    } else {
-                        let got = proc.recv(0, 7).await;
-                        assert_eq!(got.len(), 5);
-                    }
-                    proc.clock()
-                })
-                .expect("healthy run");
-            let expect = 10.0 + 2.0 * 5.0;
-            assert_eq!(out.outputs, vec![expect, expect]);
-            assert_eq!(out.stats.elapsed, expect);
-            assert_eq!(out.stats.total_messages(), 1);
-            assert_eq!(out.stats.total_word_hops(), 5);
-        }
+        let out = machine(2, PortModel::OnePort)
+            .run(vec![(), ()], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    proc.send(1, 7, words(5));
+                } else {
+                    let got = proc.recv(0, 7).await;
+                    assert_eq!(got.len(), 5);
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        let expect = 10.0 + 2.0 * 5.0;
+        assert_eq!(out.outputs, vec![expect, expect]);
+        assert_eq!(out.stats.elapsed, expect);
+        assert_eq!(out.stats.total_messages(), 1);
+        assert_eq!(out.stats.total_word_hops(), 5);
     }
 
     #[test]
     fn receive_is_passive_for_busy_receiver() {
         // Node 1 first performs its own send (port busy until 20), then
         // receives a message that arrived at t=20; its clock stays 20.
-        for engine in ENGINES {
-            let out = machine(2, PortModel::OnePort, engine)
-                .run(vec![(), ()], |mut proc, ()| async move {
-                    match proc.id() {
-                        0 => {
-                            proc.send(1, 1, words(5)); // arrives at 20
-                            let _ = proc.recv(1, 2).await;
-                        }
-                        _ => {
-                            proc.send(0, 2, words(5)); // port busy [0, 20]
-                            let _ = proc.recv(0, 1).await; // arrival 20 <= clock 20
-                        }
+        let out = machine(2, PortModel::OnePort)
+            .run(vec![(), ()], |mut proc, ()| async move {
+                match proc.id() {
+                    0 => {
+                        proc.send(1, 1, words(5)); // arrives at 20
+                        let _ = proc.recv(1, 2).await;
                     }
-                    proc.clock()
-                })
-                .expect("healthy run");
-            assert_eq!(out.outputs, vec![20.0, 20.0]);
-        }
+                    _ => {
+                        proc.send(0, 2, words(5)); // port busy [0, 20]
+                        let _ = proc.recv(0, 1).await; // arrival 20 <= clock 20
+                    }
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        assert_eq!(out.outputs, vec![20.0, 20.0]);
     }
 
     #[test]
     fn one_port_serializes_multi_sends() {
-        for engine in ENGINES {
-            let out = machine(4, PortModel::OnePort, engine)
-                .run(vec![(); 4], |mut proc, ()| async move {
-                    if proc.id() == 0 {
-                        proc.multi(vec![
-                            Op::Send {
-                                to: 1,
-                                tag: 0,
-                                data: words(5),
-                            },
-                            Op::Send {
-                                to: 2,
-                                tag: 0,
-                                data: words(5),
-                            },
-                        ])
-                        .await;
-                    } else if proc.id() != 3 {
-                        let _ = proc.recv(0, 0).await;
-                    }
-                    proc.clock()
-                })
-                .expect("healthy run");
-            // Two serialized 20-unit sends.
-            assert_eq!(out.outputs[0], 40.0);
-            assert_eq!(out.outputs[1], 20.0); // first arrival
-            assert_eq!(out.outputs[2], 40.0); // second arrival
-        }
+        let out = machine(4, PortModel::OnePort)
+            .run(vec![(); 4], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    proc.multi(vec![
+                        Op::Send {
+                            to: 1,
+                            tag: 0,
+                            data: words(5),
+                        },
+                        Op::Send {
+                            to: 2,
+                            tag: 0,
+                            data: words(5),
+                        },
+                    ])
+                    .await;
+                } else if proc.id() != 3 {
+                    let _ = proc.recv(0, 0).await;
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        // Two serialized 20-unit sends.
+        assert_eq!(out.outputs[0], 40.0);
+        assert_eq!(out.outputs[1], 20.0); // first arrival
+        assert_eq!(out.outputs[2], 40.0); // second arrival
     }
 
     #[test]
     fn multi_port_overlaps_distinct_links() {
-        for engine in ENGINES {
-            let out = machine(4, PortModel::MultiPort, engine)
-                .run(vec![(); 4], |mut proc, ()| async move {
-                    if proc.id() == 0 {
-                        proc.multi(vec![
-                            Op::Send {
-                                to: 1,
-                                tag: 0,
-                                data: words(5),
-                            },
-                            Op::Send {
-                                to: 2,
-                                tag: 0,
-                                data: words(5),
-                            },
-                        ])
-                        .await;
-                    } else if proc.id() != 3 {
-                        let _ = proc.recv(0, 0).await;
-                    }
-                    proc.clock()
-                })
-                .expect("healthy run");
-            assert_eq!(out.outputs[0], 20.0);
-            assert_eq!(out.outputs[1], 20.0);
-            assert_eq!(out.outputs[2], 20.0);
-        }
+        let out = machine(4, PortModel::MultiPort)
+            .run(vec![(); 4], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    proc.multi(vec![
+                        Op::Send {
+                            to: 1,
+                            tag: 0,
+                            data: words(5),
+                        },
+                        Op::Send {
+                            to: 2,
+                            tag: 0,
+                            data: words(5),
+                        },
+                    ])
+                    .await;
+                } else if proc.id() != 3 {
+                    let _ = proc.recv(0, 0).await;
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        assert_eq!(out.outputs[0], 20.0);
+        assert_eq!(out.outputs[1], 20.0);
+        assert_eq!(out.outputs[2], 20.0);
     }
 
     #[test]
     fn multi_port_serializes_same_link() {
-        for engine in ENGINES {
-            let out = machine(2, PortModel::MultiPort, engine)
-                .run(vec![(); 2], |mut proc, ()| async move {
-                    if proc.id() == 0 {
-                        proc.multi(vec![
-                            Op::Send {
-                                to: 1,
-                                tag: 0,
-                                data: words(5),
-                            },
-                            Op::Send {
-                                to: 1,
-                                tag: 1,
-                                data: words(5),
-                            },
-                        ])
-                        .await;
-                    } else {
-                        let _ = proc.recv(0, 0).await;
-                        let _ = proc.recv(0, 1).await;
-                    }
-                    proc.clock()
-                })
-                .expect("healthy run");
-            assert_eq!(out.outputs[0], 40.0);
-            assert_eq!(out.outputs[1], 40.0);
-        }
+        let out = machine(2, PortModel::MultiPort)
+            .run(vec![(); 2], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    proc.multi(vec![
+                        Op::Send {
+                            to: 1,
+                            tag: 0,
+                            data: words(5),
+                        },
+                        Op::Send {
+                            to: 1,
+                            tag: 1,
+                            data: words(5),
+                        },
+                    ])
+                    .await;
+                } else {
+                    let _ = proc.recv(0, 0).await;
+                    let _ = proc.recv(0, 1).await;
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        assert_eq!(out.outputs[0], 40.0);
+        assert_eq!(out.outputs[1], 40.0);
     }
 
     #[test]
     fn exchange_costs_one_unit_on_the_critical_path() {
         // Recursive-doubling style pairwise exchange: both nodes send and
         // receive; the paper charges t_s + t_w m per step.
-        for engine in ENGINES {
-            let out = machine(2, PortModel::OnePort, engine)
-                .run(vec![(), ()], |mut proc, ()| async move {
-                    let other = proc.id() ^ 1;
-                    let got = proc.exchange(other, 9, words(5)).await;
-                    assert_eq!(got.len(), 5);
-                    proc.clock()
-                })
-                .expect("healthy run");
-            assert_eq!(out.outputs, vec![20.0, 20.0]);
-        }
+        let out = machine(2, PortModel::OnePort)
+            .run(vec![(), ()], |mut proc, ()| async move {
+                let other = proc.id() ^ 1;
+                let got = proc.exchange(other, 9, words(5)).await;
+                assert_eq!(got.len(), 5);
+                proc.clock()
+            })
+            .expect("healthy run");
+        assert_eq!(out.outputs, vec![20.0, 20.0]);
     }
 
     #[test]
     fn routed_send_charges_hamming_distance() {
-        for engine in ENGINES {
-            let out = machine(8, PortModel::OnePort, engine)
-                .run(vec![(); 8], |mut proc, ()| async move {
-                    if proc.id() == 0 {
-                        proc.send_routed(0b111, 3, words(5)); // distance 3
-                    } else if proc.id() == 0b111 {
-                        let _ = proc.recv(0, 3).await;
-                    }
-                    proc.clock()
-                })
-                .expect("healthy run");
-            assert_eq!(out.outputs[0], 60.0);
-            assert_eq!(out.outputs[0b111], 60.0);
-            assert_eq!(out.stats.total_messages(), 3);
-            assert_eq!(out.stats.total_word_hops(), 15);
-        }
+        let out = machine(8, PortModel::OnePort)
+            .run(vec![(); 8], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    proc.send_routed(0b111, 3, words(5)); // distance 3
+                } else if proc.id() == 0b111 {
+                    let _ = proc.recv(0, 3).await;
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        assert_eq!(out.outputs[0], 60.0);
+        assert_eq!(out.outputs[0b111], 60.0);
+        assert_eq!(out.stats.total_messages(), 3);
+        assert_eq!(out.stats.total_word_hops(), 15);
     }
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        for engine in ENGINES {
-            let out = machine(2, PortModel::OnePort, engine)
-                .run(vec![(), ()], |mut proc, ()| async move {
-                    if proc.id() == 0 {
-                        proc.send(1, 1, words(1));
-                        proc.send(1, 2, words(2));
-                    } else {
-                        // Receive in reverse tag order.
-                        let b = proc.recv(0, 2).await;
-                        let a = proc.recv(0, 1).await;
-                        assert_eq!(b.len(), 2);
-                        assert_eq!(a.len(), 1);
-                    }
-                    proc.clock()
-                })
-                .expect("healthy run");
-            // Node 0: two serialized sends: 12 + 14 = 26.
-            assert_eq!(out.outputs[0], 26.0);
-            assert_eq!(out.outputs[1], 26.0);
-        }
+        let out = machine(2, PortModel::OnePort)
+            .run(vec![(), ()], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    proc.send(1, 1, words(1));
+                    proc.send(1, 2, words(2));
+                } else {
+                    // Receive in reverse tag order.
+                    let b = proc.recv(0, 2).await;
+                    let a = proc.recv(0, 1).await;
+                    assert_eq!(b.len(), 2);
+                    assert_eq!(a.len(), 1);
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        // Node 0: two serialized sends: 12 + 14 = 26.
+        assert_eq!(out.outputs[0], 26.0);
+        assert_eq!(out.outputs[1], 26.0);
     }
 
     #[test]
     fn peak_words_tracked() {
-        for engine in ENGINES {
-            let out = machine(2, PortModel::OnePort, engine)
-                .run(vec![(), ()], |mut proc, ()| async move {
-                    proc.track_peak_words(100);
-                    proc.track_peak_words(40);
-                })
-                .expect("healthy run");
-            assert_eq!(out.stats.max_peak_words(), 100);
-            assert_eq!(out.stats.total_peak_words(), 200);
-        }
+        let out = machine(2, PortModel::OnePort)
+            .run(vec![(), ()], |mut proc, ()| async move {
+                proc.track_peak_words(100);
+                proc.track_peak_words(40);
+            })
+            .expect("healthy run");
+        assert_eq!(out.stats.max_peak_words(), 100);
+        assert_eq!(out.stats.total_peak_words(), 200);
     }
 
     #[test]
@@ -955,45 +762,41 @@ mod tests {
 
     #[test]
     fn non_neighbor_send_rejected() {
-        for engine in ENGINES {
-            let err = machine(4, PortModel::OnePort, engine)
-                .run(vec![(); 4], |mut proc, ()| async move {
-                    if proc.id() == 0 {
-                        proc.send(3, 0, words(1));
-                    }
-                })
-                .unwrap_err();
-            match err {
-                RunError::NodePanicked { node: 0, message } => {
-                    assert!(message.contains("not a hypercube neighbor"));
+        let err = machine(4, PortModel::OnePort)
+            .run(vec![(); 4], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    proc.send(3, 0, words(1));
                 }
-                other => panic!("expected NodePanicked, got {other:?}"),
+            })
+            .unwrap_err();
+        match err {
+            RunError::NodePanicked { node: 0, message } => {
+                assert!(message.contains("not a hypercube neighbor"));
             }
+            other => panic!("expected NodePanicked, got {other:?}"),
         }
     }
 
     #[test]
     fn machine_reboots_identically_without_revalidation() {
-        // Prepare once (validation happens here), then boot three times
-        // per engine: every reboot must reproduce the same virtual
+        // Prepare once (validation happens here), then boot three
+        // times: every reboot must reproduce the same virtual
         // numbers bit for bit — machine reuse cannot perturb determinism.
-        for engine in ENGINES {
-            let machine = machine(2, PortModel::OnePort, engine);
-            assert_eq!(machine.p(), 2);
-            let boot = || {
-                machine
-                    .run(vec![(), ()], |mut proc, ()| async move {
-                        let got = proc.exchange(proc.id() ^ 1, 3, words(4)).await;
-                        (got.len(), proc.clock())
-                    })
-                    .expect("healthy boot")
-            };
-            let first = boot();
-            for _ in 0..2 {
-                let again = boot();
-                assert_eq!(again.outputs, first.outputs);
-                assert_eq!(again.stats.elapsed, first.stats.elapsed);
-            }
+        let machine = machine(2, PortModel::OnePort);
+        assert_eq!(machine.p(), 2);
+        let boot = || {
+            machine
+                .run(vec![(), ()], |mut proc, ()| async move {
+                    let got = proc.exchange(proc.id() ^ 1, 3, words(4)).await;
+                    (got.len(), proc.clock())
+                })
+                .expect("healthy boot")
+        };
+        let first = boot();
+        for _ in 0..2 {
+            let again = boot();
+            assert_eq!(again.outputs, first.outputs);
+            assert_eq!(again.stats.elapsed, first.stats.elapsed);
         }
     }
 
@@ -1014,30 +817,27 @@ mod tests {
 
     #[test]
     fn run_reports_node_panics_with_label_and_message() {
-        for engine in ENGINES {
-            let err = machine(4, PortModel::OnePort, engine)
-                .run(vec![(); 4], |proc, ()| async move {
-                    if proc.id() == 2 {
-                        panic!("kaboom on node two");
-                    }
-                })
-                .unwrap_err();
-            match err {
-                RunError::NodePanicked { node, message } => {
-                    assert_eq!(node, 2);
-                    assert!(message.contains("kaboom"), "message was {message:?}");
+        let err = machine(4, PortModel::OnePort)
+            .run(vec![(); 4], |proc, ()| async move {
+                if proc.id() == 2 {
+                    panic!("kaboom on node two");
                 }
-                other => panic!("expected NodePanicked, got {other:?}"),
+            })
+            .unwrap_err();
+        match err {
+            RunError::NodePanicked { node, message } => {
+                assert_eq!(node, 2);
+                assert!(message.contains("kaboom"), "message was {message:?}");
             }
+            other => panic!("expected NodePanicked, got {other:?}"),
         }
     }
 
-    /// The two deadlock-exactness contracts from PR 4, pinned under
-    /// *both* engines: the ledger proves the deadlock the instant the
-    /// last live node parks (or finishes) — no watchdog, no timeout.
-    fn check_two_node_cyclic_wait(engine: Engine) {
+    /// Deadlock exactness: the ledger proves the deadlock the instant
+    /// the last live node parks (or finishes) — no watchdog, no timeout.
+    fn check_two_node_cyclic_wait(port: PortModel) {
         let wall = std::time::Instant::now();
-        let err = machine(2, PortModel::OnePort, engine)
+        let err = machine(2, port)
             .run(vec![(), ()], |mut proc, ()| async move {
                 let other = proc.id() ^ 1;
                 let _ = proc.recv(other, 77).await;
@@ -1070,12 +870,12 @@ mod tests {
         }
     }
 
-    fn check_finished_sender_deadlock(engine: Engine) {
+    fn check_finished_sender_deadlock(port: PortModel) {
         // Node 0 exits without sending; node 1 waits forever. The last
         // live node is parked, so the ledger declares deadlock from the
         // finish path (not only the park path).
         let wall = std::time::Instant::now();
-        let err = machine(2, PortModel::OnePort, engine)
+        let err = machine(2, port)
             .run(vec![(), ()], |mut proc, ()| async move {
                 if proc.id() == 1 {
                     let _ = proc.recv(0, 5).await;
@@ -1101,39 +901,41 @@ mod tests {
 
     #[test]
     fn two_node_cyclic_wait_is_detected_exactly_and_instantly() {
-        check_two_node_cyclic_wait(Engine::Threaded);
+        check_two_node_cyclic_wait(PortModel::OnePort);
     }
 
+    /// The same deadlock on the multi-port machine: the work queue's
+    /// detection must not depend on the port model's link bookkeeping.
     #[test]
     fn event_engine_two_node_cyclic_wait_is_detected_exactly_and_instantly() {
-        check_two_node_cyclic_wait(Engine::Event);
+        check_two_node_cyclic_wait(PortModel::MultiPort);
     }
 
     #[test]
     fn finished_sender_leaves_receiver_deadlocked_not_hung() {
-        check_finished_sender_deadlock(Engine::Threaded);
+        check_finished_sender_deadlock(PortModel::OnePort);
     }
 
     #[test]
     fn event_engine_finished_sender_leaves_receiver_deadlocked_not_hung() {
-        check_finished_sender_deadlock(Engine::Event);
+        check_finished_sender_deadlock(PortModel::MultiPort);
     }
 
     #[test]
     fn engine_parses_and_displays() {
-        assert_eq!("threaded".parse::<Engine>(), Ok(Engine::Threaded));
         assert_eq!("event".parse::<Engine>(), Ok(Engine::Event));
-        assert!("both".parse::<Engine>().is_err());
-        assert_eq!(Engine::Threaded.to_string(), "threaded");
+        for retired in ["threaded", "both", ""] {
+            let err = retired.parse::<Engine>().unwrap_err();
+            assert!(err.contains("unknown engine"), "{err}");
+        }
         assert_eq!(Engine::Event.to_string(), "event");
         assert_eq!(Engine::default(), Engine::Event);
     }
 
     #[test]
     fn event_engine_scales_past_the_thread_limit() {
-        // A 4096-node all-to-nearest exchange: impossible thread-per-node
-        // on a default host, routine for the event engine.
-        let out = machine(4096, PortModel::OnePort, Engine::Event)
+        // A 4096-node all-to-nearest exchange on the calling thread.
+        let out = machine(4096, PortModel::OnePort)
             .run(vec![(); 4096], |mut proc, ()| async move {
                 let other = proc.id() ^ 1;
                 let got = proc.exchange(other, 1, [proc.id() as f64]).await;
@@ -1144,35 +946,5 @@ mod tests {
         for (id, partner) in out.outputs.iter().enumerate() {
             assert_eq!(*partner, id ^ 1);
         }
-    }
-
-    #[test]
-    fn engines_agree_bitwise_on_a_traced_run() {
-        // Same program, both engines, traced: outputs, stats, and traces
-        // must match bitwise.
-        let run = |engine: Engine| {
-            Machine::builder(8)
-                .cost(COST)
-                .traced(true)
-                .engine(engine)
-                .build()
-                .expect("valid machine")
-                .run(vec![(); 8], |mut proc, ()| async move {
-                    // Recursive doubling over all 3 dimensions.
-                    let mut acc = vec![proc.id() as f64];
-                    for d in 0..proc.dim() {
-                        let partner = proc.id() ^ (1 << d);
-                        let got = proc.exchange(partner, u64::from(d), acc.clone()).await;
-                        acc.extend(got.iter());
-                    }
-                    acc.iter().sum::<f64>()
-                })
-                .expect("healthy run")
-        };
-        let threaded = run(Engine::Threaded);
-        let event = run(Engine::Event);
-        assert_eq!(threaded.outputs, event.outputs);
-        assert_eq!(threaded.stats, event.stats);
-        assert_eq!(threaded.traces, event.traces);
     }
 }

@@ -135,6 +135,74 @@ fn dead_link_rerouting_completes_with_strictly_higher_elapsed() {
 }
 
 /// Under a strict plan the same dead link is a typed failure instead.
+/// A dead link and a straggler compose: the straggling sender pays its
+/// slowdown on the whole 3-hop detour.
+#[test]
+fn dead_link_detour_from_a_straggler_pays_both_faults() {
+    let plan = FaultPlan::new().with_dead_link(0, 1).with_straggler(0, 2.0);
+    let out = machine(4, PortModel::OnePort, plan)
+        .run(vec![(); 4], |mut proc: Proc, ()| async move {
+            match proc.id() {
+                0 => proc.send(1, 9, [0.0, 1.0, 2.0, 3.0]),
+                1 => {
+                    let got = proc.recv(0, 9).await;
+                    assert_eq!(&got[..], &[0.0, 1.0, 2.0, 3.0]);
+                }
+                _ => {}
+            }
+            proc.clock()
+        })
+        .unwrap();
+    // 2 × store-and-forward over 3 hops: 2 · 3 (ts + tw·4).
+    assert_eq!(out.outputs[0], 108.0);
+    assert_eq!(out.outputs[1], 108.0);
+    assert_eq!(out.stats.total_detour_hops(), 2);
+}
+
+/// A scheduled drop on a program without retries deadlocks, and the
+/// report names exactly the receives the lost message left hanging;
+/// nodes the drop never touched finish normally.
+#[test]
+fn unretried_drop_deadlocks_with_the_exact_blocked_receives() {
+    let err = machine(4, PortModel::OnePort, FaultPlan::new().with_drop(0, 1, 0))
+        .run(vec![(); 4], |mut proc: Proc, ()| async move {
+            match proc.id() {
+                // The first send is dropped in flight; the reply it
+                // would have triggered never comes.
+                0 => {
+                    proc.send(1, 1, [1.0]);
+                    let _ = proc.recv(1, 2).await;
+                }
+                1 => {
+                    let got = proc.recv(0, 1).await;
+                    proc.send(0, 2, got);
+                }
+                _ => {
+                    let partner = proc.id() ^ 1;
+                    let _ = proc.exchange(partner, 3, [2.0]).await;
+                }
+            }
+        })
+        .expect_err("the lost message must deadlock the run");
+    assert_eq!(
+        err,
+        RunError::Deadlock {
+            blocked: vec![
+                Blocked {
+                    node: 0,
+                    from: 1,
+                    tag: 2
+                },
+                Blocked {
+                    node: 1,
+                    from: 0,
+                    tag: 1
+                },
+            ]
+        }
+    );
+}
+
 #[test]
 fn strict_plan_turns_the_dead_link_into_a_structured_error() {
     let plan = FaultPlan::new().with_dead_link(0, 1).strict();

@@ -6,7 +6,7 @@
 
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
-use cubemm_simnet::{CostParams, Engine, Machine, PortModel, RunError};
+use cubemm_simnet::{CostParams, Machine, PortModel, RunError};
 
 #[test]
 fn repeated_runs_are_bit_identical() {
@@ -62,28 +62,22 @@ fn zero_cost_machine_still_computes_correctly() {
 }
 
 #[test]
-fn mismatched_program_deadlocks_with_diagnostic_under_both_engines() {
+fn mismatched_program_deadlocks_with_diagnostic() {
     // A receive with no matching send must come back as a structured
     // deadlock error rather than hanging forever. The progress ledger
-    // detects this exactly — no timeout involved — and both engines
-    // must agree on the verdict.
-    for engine in [Engine::Threaded, Engine::Event] {
-        let machine = Machine::builder(2)
-            .engine(engine)
-            .build()
-            .expect("valid 2-node machine");
-        let err = machine
-            .run(vec![(), ()], |mut proc, ()| async move {
-                if proc.id() == 0 {
-                    let _ = proc.recv(1, 42).await; // node 1 never sends
-                }
-            })
-            .unwrap_err();
-        assert!(
-            matches!(err, RunError::Deadlock { .. }),
-            "{engine}: expected a deadlock verdict, got {err:?}"
-        );
-    }
+    // detects this exactly — no timeout involved.
+    let machine = Machine::builder(2).build().expect("valid 2-node machine");
+    let err = machine
+        .run(vec![(), ()], |mut proc, ()| async move {
+            if proc.id() == 0 {
+                let _ = proc.recv(1, 42).await; // node 1 never sends
+            }
+        })
+        .unwrap_err();
+    assert!(
+        matches!(err, RunError::Deadlock { .. }),
+        "expected a deadlock verdict, got {err:?}"
+    );
 }
 
 #[test]

@@ -3,11 +3,11 @@
 //! bitwise identical to the serial path, and identical across repeated
 //! runs.
 //!
-//! This is the regression gate for the progress-ledger engine's central
-//! contract: virtual clocks depend only on each run's own configuration
-//! (program order plus `(from, tag)` FIFO matching), never on OS thread
-//! scheduling — even when whole machines execute concurrently and their
-//! node threads interleave arbitrarily on the host.
+//! This is the regression gate for the simulator's central contract:
+//! virtual clocks depend only on each run's own configuration (program
+//! order plus `(from, tag)` FIFO matching), never on host scheduling —
+//! even when whole machines execute concurrently on different worker
+//! threads.
 
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
@@ -34,16 +34,11 @@ fn run_sweep(jobs: usize) -> Vec<(RunStats, Matrix)> {
     let n = 32;
     let a = Matrix::random(n, n, 1);
     let b = Matrix::random(n, n, 2);
-    run_grid(
-        &grid(),
-        jobs,
-        |&(_, _, p)| p,
-        |&(algo, port, p)| {
-            let cfg = MachineConfig::new(port, CostParams::PAPER);
-            let res = algo.multiply(&a, &b, p, &cfg).unwrap();
-            (res.stats, res.c)
-        },
-    )
+    run_grid(&grid(), jobs, |&(algo, port, p)| {
+        let cfg = MachineConfig::new(port, CostParams::PAPER);
+        let res = algo.multiply(&a, &b, p, &cfg).unwrap();
+        (res.stats, res.c)
+    })
 }
 
 fn assert_identical(lhs: &[(RunStats, Matrix)], rhs: &[(RunStats, Matrix)], what: &str) {
@@ -90,16 +85,11 @@ fn analyzer_verdicts_are_identical_at_jobs_1_and_8() {
         }
     }
     let analyze = |jobs: usize| {
-        run_grid(
-            &tasks,
-            jobs,
-            |&(_, _, _, p)| p,
-            |&(algo, port, n, p)| {
-                let r = cubemm_analyze::analyze_algorithm(algo, n, p, port).unwrap();
-                let cost = r.analysis.cost.map(|c| (c.a.to_bits(), c.b.to_bits()));
-                (r.verdict, r.analysis.is_sound(), cost)
-            },
-        )
+        run_grid(&tasks, jobs, |&(algo, port, n, p)| {
+            let r = cubemm_analyze::analyze_algorithm(algo, n, p, port).unwrap();
+            let cost = r.analysis.cost.map(|c| (c.a.to_bits(), c.b.to_bits()));
+            (r.verdict, r.analysis.is_sound(), cost)
+        })
     };
     let serial = analyze(1);
     let parallel = analyze(8);
