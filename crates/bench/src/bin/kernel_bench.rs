@@ -20,14 +20,17 @@
 //! `packed-simd-*` on the AVX2+FMA 6×8 tile when the host has it) and
 //! per thread count, with a machine-readable `speedup_vs_1t` column so
 //! CI can assert parallel scaling. `--smoke` runs small sizes only,
-//! cross-checks every kernel against the naive product, and exits
-//! non-zero on mismatch — a cheap guard that keeps the kernel and bench
+//! cross-checks every kernel against the naive product, checks at every
+//! size that each build of `blocked64` (the reference) is bitwise equal
+//! to `ikj`, and exits non-zero on mismatch — a cheap guard that keeps the kernel and bench
 //! code from bit-rotting. The full run performs the same verification
 //! before timing anything.
 
 use std::time::Instant;
 
-use cubemm_dense::gemm::{gemm_acc_with_microkernel, Kernel, PAR_MIN_ELEMS};
+use cubemm_dense::gemm::{
+    gemm_acc_with_microkernel, gemm_blocked_with, BlockedImpl, Kernel, PAR_MIN_ELEMS,
+};
 use cubemm_dense::microkernel::MicrokernelImpl;
 use cubemm_dense::Matrix;
 
@@ -100,6 +103,33 @@ fn time_product(n: usize, spec: &KernelSpec, reps: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Checks the reference contract at size `n`: every build of
+/// `blocked64` the host can run returns the bits of `ikj` (random
+/// operands have no exact zeros, so `ikj`'s zero skip never fires).
+fn verify_reference_bits(n: usize) -> Result<(), String> {
+    let a = Matrix::random(n, n, 5);
+    let b = Matrix::random(n, n, 6);
+    let mut want = Matrix::zeros(n, n);
+    gemm_acc_with_microkernel(&mut want, &a, &b, Kernel::Ikj, MicrokernelImpl::Scalar);
+    let want: Vec<u64> = want.as_slice().iter().map(|x| x.to_bits()).collect();
+    for imp in BlockedImpl::available() {
+        let mut got = Matrix::zeros(n, n);
+        gemm_blocked_with(&mut got, &a, &b, 64, imp);
+        if !got
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(want.iter().copied())
+        {
+            return Err(format!(
+                "blocked64 ({}) is not bitwise equal to ikj at n={n}",
+                imp.name()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Verifies `spec` against the naive product at size `n`.
 fn verify(n: usize, spec: &KernelSpec) -> Result<(), String> {
     let a = Matrix::random(n, n, 3);
@@ -158,11 +188,8 @@ fn main() {
 
     // Correctness first: a fast wrong kernel is worse than a slow one.
     // 31 exercises every ragged-edge path of both register tiles.
-    for &n in if smoke {
-        &[31usize, 64][..]
-    } else {
-        &[31usize, 128][..]
-    } {
+    let verify_sizes = if smoke { [31usize, 64] } else { [31, 128] };
+    for &n in &verify_sizes {
         for spec in &specs {
             if let Err(e) = verify(n, spec) {
                 eprintln!("error: {e}");
@@ -170,9 +197,18 @@ fn main() {
             }
         }
     }
+    // The reference's bitwise contract, at every verify and timed size.
+    for &n in verify_sizes.iter().chain(&sizes) {
+        if let Err(e) = verify_reference_bits(n) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
     println!(
-        "all kernels verified against naive (microkernel: {}, host cores: {host_cores})",
-        MicrokernelImpl::active().name()
+        "all kernels verified against naive, blocked64 bitwise equal to ikj \
+         (microkernel: {}, reference: {}, host cores: {host_cores})",
+        MicrokernelImpl::active().name(),
+        BlockedImpl::active().name()
     );
 
     let mut rows: Vec<String> = Vec::new();
@@ -223,8 +259,9 @@ fn main() {
 
     if !smoke {
         let json = format!(
-            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"microkernel\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"microkernel\": \"{}\",\n  \"reference\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
             MicrokernelImpl::active().name(),
+            BlockedImpl::active().name(),
             host_cores,
             rows.join(",\n")
         );

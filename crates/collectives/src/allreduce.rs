@@ -28,7 +28,7 @@ pub async fn allreduce_sum(proc: &mut Proc, sc: &Subcube, base: u64, mine: Paylo
     if n == 1 {
         return mine;
     }
-    if m % n == 0 {
+    if m.is_multiple_of(n) {
         // Reduce-scatter my chunks, then all-gather the reduced pieces.
         let each = m / n;
         let parts: Vec<Payload> = (0..n)
@@ -55,7 +55,7 @@ pub async fn allreduce_sum(proc: &mut Proc, sc: &Subcube, base: u64, mine: Paylo
 
 /// Whether the bandwidth-optimal composition applies for this shape.
 pub fn allreduce_is_bandwidth_optimal(sc: &Subcube, message_len: usize) -> bool {
-    sc.size() <= 1 || message_len % sc.size() == 0
+    sc.size() <= 1 || message_len.is_multiple_of(sc.size())
 }
 
 #[cfg(test)]

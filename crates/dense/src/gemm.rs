@@ -13,6 +13,12 @@
 //! tuning layer ([`crate::tune`]), and 2-D tiled parallelism over the
 //! in-tree work-stealing pool ([`crate::pool`]).
 //!
+//! The verification path is [`reference`] ([`Kernel::Blocked`]): a
+//! register-tiled `ikj` loop with separate multiplies and adds,
+//! compiled three times (AVX-512F `8×16`, AVX2 `4×8`, portable `4×8`)
+//! and picked at runtime by [`BlockedImpl`]. Every build returns the
+//! bits of the textbook `ikj` loop.
+//!
 //! # Determinism contract
 //!
 //! The packed product is **bitwise identical across thread counts**:
@@ -26,11 +32,13 @@
 //! rounding — so reproducible deployments pin `kc` (or rely on the
 //! shared untuned default). See DESIGN.md §9.
 
-use crate::microkernel::MicrokernelImpl;
+use std::sync::OnceLock;
+
+use crate::microkernel::{scalar_forced, MicrokernelImpl};
 use crate::pack::{pack_a, pack_a_panel, pack_b, pack_b_panel, packed_a_len, packed_b_len};
 use crate::pool::{take_scratch, ThreadPool};
 use crate::tune::{self, Blocking};
-use crate::Matrix;
+use crate::{AllocError, Matrix};
 
 /// Untuned cache-block height of `A` for the scalar microkernel
 /// (`mc` rows per packed A block). Tuned hosts override via
@@ -57,7 +65,10 @@ pub enum Kernel {
     Naive,
     /// Loop-reordered `ikj`: streams rows of `B`, vectorizes well.
     Ikj,
-    /// Cache-tiled `ikj` with the given square tile size.
+    /// Register-tiled, cache-tiled `ikj` taking `l` in steps of the
+    /// given depth. Its bits are those of the plain `ikj` loop whatever
+    /// the depth (the same as [`Kernel::Ikj`], bar that kernel's skip of
+    /// zero `A` entries); see [`reference`] and [`BlockedImpl`].
     Blocked(usize),
     /// Panel-packed, register-tiled GEMM (the fast path; the default).
     ///
@@ -185,7 +196,7 @@ pub fn gemm_acc_with_microkernel(
     match kernel {
         Kernel::Naive => naive(c, a, b),
         Kernel::Ikj => ikj(c, a, b),
-        Kernel::Blocked(tile) => blocked(c, a, b, tile.max(1)),
+        Kernel::Blocked(tile) => blocked(c, a, b, tile.max(1), BlockedImpl::active()),
         Kernel::Packed {
             mc,
             kc,
@@ -202,15 +213,27 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Sequential reference product used to verify every distributed run.
-/// Deliberately a *different* kernel (plain cache-tiled `ikj`) from the
-/// packed default the algorithms run with, so verification exercises
-/// two independent code paths.
+/// Sequential reference product used to verify every distributed run:
+/// [`Kernel::Blocked`]`(64)`, whose bits are those of the textbook `ikj`
+/// loop. Deliberately a *different* kernel from the packed default the
+/// algorithms run with (no packing, no FMA, no per-`kc` accumulator, no
+/// threads), so verification exercises two independent code paths.
 pub fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_acc(&mut c, a, b, Kernel::Blocked(64));
+    gemm_acc(&mut c, a, b, REFERENCE);
     c
 }
+
+/// [`reference`] with its product allocated fallibly, for callers that
+/// must answer an oversized job instead of aborting.
+pub fn try_reference(a: &Matrix, b: &Matrix) -> Result<Matrix, AllocError> {
+    let mut c = Matrix::try_zeros(a.rows(), b.cols())?;
+    gemm_acc(&mut c, a, b, REFERENCE);
+    Ok(c)
+}
+
+/// The kernel behind [`reference`] and [`try_reference`].
+const REFERENCE: Kernel = Kernel::Blocked(64);
 
 fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -242,24 +265,250 @@ fn ikj(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     }
 }
 
-fn blocked(c: &mut Matrix, a: &Matrix, b: &Matrix, tile: usize) {
+/// Which build of the reference kernel ([`Kernel::Blocked`], the body
+/// of [`reference`]) runs. Every build computes each `C` element as the
+/// same sequence of separately rounded multiplies and adds in ascending
+/// `l`, so all of them return the same bits; they differ only in the
+/// register tile and the vector width the compiler may use. Builds are
+/// ordered by the instruction sets they need, each implying the last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum BlockedImpl {
+    /// `4 × 8` tile at the target's baseline vector width (`cfg(miri)`,
+    /// the `CUBEMM_FORCE_SCALAR=1` override, and hosts without AVX2).
+    Portable,
+    /// `4 × 8` tile compiled for AVX2 (x86_64, runtime-detected).
+    Avx2,
+    /// `8 × 16` tile compiled for AVX-512F (x86_64, runtime-detected).
+    Avx512,
+}
+
+impl BlockedImpl {
+    /// The widest build the host can run. Ignores `CUBEMM_FORCE_SCALAR`;
+    /// most callers want [`BlockedImpl::active`].
+    pub fn detect() -> BlockedImpl {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return BlockedImpl::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return BlockedImpl::Avx2;
+            }
+        }
+        BlockedImpl::Portable
+    }
+
+    /// The process-wide build: [`BlockedImpl::detect`] unless
+    /// `CUBEMM_FORCE_SCALAR` pins the portable one (read once, like
+    /// [`MicrokernelImpl::active`]).
+    pub fn active() -> BlockedImpl {
+        static ACTIVE: OnceLock<BlockedImpl> = OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            if scalar_forced() {
+                BlockedImpl::Portable
+            } else {
+                BlockedImpl::detect()
+            }
+        })
+    }
+
+    /// Stable name with the register tile, for bench output.
+    pub const fn name(self) -> &'static str {
+        match self {
+            BlockedImpl::Portable => "portable-4x8",
+            BlockedImpl::Avx2 => "avx2-4x8",
+            BlockedImpl::Avx512 => "avx512-8x16",
+        }
+    }
+
+    /// Every build the host can run, portable first.
+    pub fn available() -> Vec<BlockedImpl> {
+        let widest = BlockedImpl::detect();
+        [
+            BlockedImpl::Portable,
+            BlockedImpl::Avx2,
+            BlockedImpl::Avx512,
+        ]
+        .into_iter()
+        .filter(|&imp| imp <= widest)
+        .collect()
+    }
+}
+
+/// [`Kernel::Blocked`] with an explicit build: `C += A·B` with `tile`
+/// the depth of each `l` step. This is how the bitwise suite and the
+/// kernel bench pin one build; [`gemm_acc`] runs [`BlockedImpl::active`].
+///
+/// # Panics
+/// Panics on dimension mismatch, and if `imp` is a build the host
+/// cannot run.
+pub fn gemm_blocked_with(c: &mut Matrix, a: &Matrix, b: &Matrix, tile: usize, imp: BlockedImpl) {
+    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
+    assert_eq!(c.rows(), a.rows(), "C row mismatch");
+    assert_eq!(c.cols(), b.cols(), "C col mismatch");
+    assert!(
+        imp <= BlockedImpl::detect(),
+        "{imp:?} reference kernel requested on a host without it"
+    );
+    blocked(c, a, b, tile.max(1), imp);
+}
+
+/// Columns of `C` per panel of the reference kernel: one `tile ×
+/// REF_NC` block of `B` (128 KiB at the default tile of 64) stays in L2
+/// while every row of `A` streams past it.
+const REF_NC: usize = 256;
+
+fn blocked(c: &mut Matrix, a: &Matrix, b: &Matrix, tile: usize, imp: BlockedImpl) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    for i0 in (0..m).step_by(tile) {
-        let imax = (i0 + tile).min(m);
+    let (c, a, b) = (c.as_mut_slice(), a.as_slice(), b.as_slice());
+    match imp {
+        BlockedImpl::Portable => blocked_body::<4, 8>(c, a, b, m, k, n, tile),
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: Avx2 is only selected (detect) or accepted
+        // (gemm_blocked_with) on a host where AVX2 was detected.
+        BlockedImpl::Avx2 => unsafe { blocked_avx2(c, a, b, m, k, n, tile) },
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: as above for AVX-512F.
+        BlockedImpl::Avx512 => unsafe { blocked_avx512(c, a, b, m, k, n, tile) },
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        BlockedImpl::Avx2 | BlockedImpl::Avx512 => blocked_body::<4, 8>(c, a, b, m, k, n, tile),
+    }
+}
+
+/// [`blocked_body`] compiled for AVX2: the `4 × 8` tile is eight `ymm`
+/// accumulators.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+unsafe fn blocked_avx2(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    tile: usize,
+) {
+    blocked_body::<4, 8>(c, a, b, m, k, n, tile);
+}
+
+/// [`blocked_body`] compiled for AVX-512F: the `8 × 16` tile is sixteen
+/// `zmm` accumulators.
+///
+/// # Safety
+/// The host must support AVX-512F.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn blocked_avx512(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    tile: usize,
+) {
+    blocked_body::<8, 16>(c, a, b, m, k, n, tile);
+}
+
+/// The reference kernel: cache-tiled, register-tiled `ikj` over
+/// row-major `C (m×n) += A (m×k) · B (k×n)`.
+///
+/// For each `REF_NC`-column panel and each `tile`-deep `l` step, every
+/// `MR × NR` tile of `C` is loaded into accumulators, takes
+/// `acc += a[i][l] * b[l][j]` for ascending `l`, and is stored back.
+/// The multiply and the add are separate, separately rounded
+/// operations (Rust never contracts them into an FMA), so each `C`
+/// element sees exactly the float sequence of the textbook `ikj` loop
+/// whatever `MR`, `NR`, `tile` or the vector width — the bits depend on
+/// none of them. Ragged edges take the same sequence one element at a
+/// time.
+#[inline(always)]
+fn blocked_body<const MR: usize, const NR: usize>(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    tile: usize,
+) {
+    for j0 in (0..n).step_by(REF_NC) {
+        let jend = (j0 + REF_NC).min(n);
+        let jfull = j0 + (jend - j0) / NR * NR;
         for l0 in (0..k).step_by(tile) {
-            let lmax = (l0 + tile).min(k);
-            for j0 in (0..n).step_by(tile) {
-                let jmax = (j0 + tile).min(n);
-                for i in i0..imax {
-                    for l in l0..lmax {
-                        let aval = a[(i, l)];
-                        let brow = &b.row(l)[j0..jmax];
-                        let crow = &mut c.as_mut_slice()[i * n + j0..i * n + jmax];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += aval * bv;
-                        }
-                    }
+            let lend = (l0 + tile).min(k);
+            let mut i0 = 0;
+            while i0 + MR <= m {
+                for j in (j0..jfull).step_by(NR) {
+                    register_tile::<MR, NR>(c, a, b, k, n, i0, j, l0..lend);
                 }
+                edge(c, a, b, k, n, i0..i0 + MR, jfull..jend, l0..lend);
+                i0 += MR;
+            }
+            edge(c, a, b, k, n, i0..m, j0..jend, l0..lend);
+        }
+    }
+}
+
+/// `C[i0.., j0..][MR × NR] += A[i0.., ls] · B[ls, j0..]` in registers.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "internal kernel fan-in")]
+fn register_tile<const MR: usize, const NR: usize>(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    i0: usize,
+    j0: usize,
+    ls: std::ops::Range<usize>,
+) {
+    let mut acc = [[0.0f64; NR]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let at = (i0 + r) * n + j0;
+        row.copy_from_slice(&c[at..at + NR]);
+    }
+    for l in ls {
+        let brow = &b[l * n + j0..l * n + j0 + NR];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = a[(i0 + r) * k + l];
+            for (cv, &bv) in row.iter_mut().zip(brow) {
+                *cv += av * bv;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let at = (i0 + r) * n + j0;
+        c[at..at + NR].copy_from_slice(row);
+    }
+}
+
+/// The ragged-edge rectangle of [`blocked_body`], as a plain `ikj` loop.
+#[inline(always)]
+#[allow(clippy::too_many_arguments, reason = "internal kernel fan-in")]
+fn edge(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    is: std::ops::Range<usize>,
+    js: std::ops::Range<usize>,
+    ls: std::ops::Range<usize>,
+) {
+    if js.is_empty() {
+        return;
+    }
+    for i in is {
+        for l in ls.clone() {
+            let av = a[i * k + l];
+            let brow = &b[l * n + js.start..l * n + js.end];
+            let crow = &mut c[i * n + js.start..i * n + js.end];
+            for (cv, &bv) in crow.iter_mut().zip(brow) {
+                *cv += av * bv;
             }
         }
     }

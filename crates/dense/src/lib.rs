@@ -5,7 +5,9 @@
 //! those around a hypercube, and multiplies the local pieces. This crate
 //! supplies:
 //!
-//! * [`Matrix`] — an owned row-major `f64` matrix,
+//! * [`Matrix`] — an owned row-major `f64` matrix, with fallible
+//!   constructors ([`AllocError`]) and the workspace's seeded generator
+//!   ([`splitmix64`]),
 //! * [`gemm`] — local multiplication kernels (naive `ijk`, cache-friendly
 //!   `ikj`, tiled, and the packed register-tiled fast path), all with
 //!   accumulate (`C += A·B`) forms,
@@ -30,4 +32,4 @@ pub mod partition;
 pub mod pool;
 pub mod tune;
 
-pub use matrix::Matrix;
+pub use matrix::{splitmix64, AllocError, Matrix};

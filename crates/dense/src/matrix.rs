@@ -4,16 +4,70 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-/// SplitMix64: a tiny, high-quality, dependency-free generator. The test
-/// matrices only need reproducible, well-spread entries, not
-/// cryptographic quality, and an in-tree generator keeps seeded runs
-/// stable across toolchain and dependency upgrades.
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: advances `state` and returns the next 64 well-mixed bits.
+///
+/// The workspace's one seeded generator: test matrices, chaos campaigns
+/// and the in-tree property tests all draw from it. It is tiny,
+/// dependency-free and pure wrapping integer arithmetic, so seeded runs
+/// stay bit-stable across platforms, toolchains and dependency
+/// upgrades; none of its users needs cryptographic quality.
+///
+/// ```
+/// let mut state = 0;
+/// assert_eq!(cubemm_dense::splitmix64(&mut state), 0xe220_a839_7b1d_cdaf);
+/// ```
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The next [`Matrix::random`] entry: 53 uniform mantissa bits mapped
+/// onto `[-1, 1)`.
+fn random_entry(state: &mut u64) -> f64 {
+    let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+    2.0 * u - 1.0
+}
+
+/// A matrix whose storage could not be allocated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AllocError {
+    /// Rows requested.
+    pub rows: usize,
+    /// Columns requested.
+    pub cols: usize,
+    /// Bytes the storage needs; `None` when `rows · cols · 8` overflows
+    /// `usize`.
+    pub bytes: Option<usize>,
+}
+
+impl fmt::Display for AllocError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot allocate a {}x{} matrix ", self.rows, self.cols)?;
+        match self.bytes {
+            Some(bytes) => write!(f, "({bytes} bytes)"),
+            None => write!(f, "(more than {} bytes)", usize::MAX),
+        }
+    }
+}
+
+impl std::error::Error for AllocError {}
+
+/// An empty buffer with room for exactly `rows · cols` words, or the
+/// typed error when the size overflows or the allocator refuses.
+fn try_storage(rows: usize, cols: usize) -> Result<Vec<f64>, AllocError> {
+    let words = rows.checked_mul(cols);
+    let error = || AllocError {
+        rows,
+        cols,
+        bytes: words.and_then(|w| w.checked_mul(std::mem::size_of::<f64>())),
+    };
+    let mut data = Vec::new();
+    data.try_reserve_exact(words.ok_or_else(error)?)
+        .map_err(|_| error())?;
+    Ok(data)
 }
 
 /// Owned row-major dense matrix.
@@ -67,17 +121,28 @@ impl Matrix {
         Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
+    /// [`Matrix::zeros`], allocated fallibly: an oversized request is a
+    /// typed error instead of an abort.
+    pub fn try_zeros(rows: usize, cols: usize) -> Result<Self, AllocError> {
+        let mut data = try_storage(rows, cols)?;
+        data.resize(rows * cols, 0.0);
+        Ok(Matrix { rows, cols, data })
+    }
+
     /// A reproducible pseudo-random matrix with entries in `[-1, 1)`.
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
         let mut state = seed;
-        let data = (0..rows * cols)
-            .map(|_| {
-                // 53 uniform mantissa bits mapped onto [-1, 1).
-                let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-                2.0 * u - 1.0
-            })
-            .collect();
+        let data = (0..rows * cols).map(|_| random_entry(&mut state)).collect();
         Matrix { rows, cols, data }
+    }
+
+    /// [`Matrix::random`], allocated fallibly: an oversized request is a
+    /// typed error instead of an abort.
+    pub fn try_random(rows: usize, cols: usize, seed: u64) -> Result<Self, AllocError> {
+        let mut data = try_storage(rows, cols)?;
+        let mut state = seed;
+        data.extend((0..rows * cols).map(|_| random_entry(&mut state)));
+        Ok(Matrix { rows, cols, data })
     }
 
     /// Number of rows.
@@ -326,6 +391,38 @@ mod tests {
     fn random_is_reproducible() {
         assert_eq!(Matrix::random(8, 8, 1), Matrix::random(8, 8, 1));
         assert_ne!(Matrix::random(8, 8, 1), Matrix::random(8, 8, 2));
+    }
+
+    #[test]
+    fn splitmix64_known_answers() {
+        let mut state = 0;
+        let got: Vec<u64> = (0..3).map(|_| splitmix64(&mut state)).collect();
+        assert_eq!(
+            got,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
+    }
+
+    #[test]
+    fn fallible_constructors_match_and_report_oversize() {
+        assert_eq!(Matrix::try_random(5, 7, 3), Ok(Matrix::random(5, 7, 3)));
+        assert_eq!(Matrix::try_zeros(4, 2), Ok(Matrix::zeros(4, 2)));
+        assert_eq!(Matrix::try_random(0, 9, 1), Ok(Matrix::random(0, 9, 1)));
+        // Sizes past isize::MAX bytes fail before the allocator is
+        // asked at all, so these never touch memory.
+        let err = Matrix::try_random(usize::MAX, 2, 1).unwrap_err();
+        assert_eq!(err.bytes, None);
+        assert!(err.to_string().starts_with("cannot allocate a "));
+        let err = Matrix::try_zeros(1 << 30, 1 << 30).unwrap_err();
+        assert_eq!(err.bytes, Some(1 << 63));
+        assert_eq!(
+            err.to_string(),
+            "cannot allocate a 1073741824x1073741824 matrix (9223372036854775808 bytes)"
+        );
     }
 
     #[test]

@@ -47,6 +47,15 @@ pub const AVX2_MR: usize = 6;
 /// Tile width of the AVX2 microkernel.
 pub const AVX2_NR: usize = 8;
 
+/// Whether `CUBEMM_FORCE_SCALAR` is set to anything but `0`/empty: the
+/// one override that pins both the packed microkernel and the reference
+/// kernel ([`crate::gemm::BlockedImpl`]) to their portable builds.
+pub(crate) fn scalar_forced() -> bool {
+    std::env::var("CUBEMM_FORCE_SCALAR")
+        .map(|v| !v.is_empty() && v != "0")
+        .unwrap_or(false)
+}
+
 /// Which register-tiled inner kernel the packed GEMM runs.
 ///
 /// The selection is a pure function of the host: [`MicrokernelImpl::active`]
@@ -86,10 +95,7 @@ impl MicrokernelImpl {
     pub fn active() -> MicrokernelImpl {
         static ACTIVE: OnceLock<MicrokernelImpl> = OnceLock::new();
         *ACTIVE.get_or_init(|| {
-            let forced = std::env::var("CUBEMM_FORCE_SCALAR")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false);
-            if forced {
+            if scalar_forced() {
                 MicrokernelImpl::Scalar
             } else {
                 MicrokernelImpl::detect()

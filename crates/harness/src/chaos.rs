@@ -25,7 +25,7 @@
 //!    documented `{0, 2, 3}` exit codes.
 //!
 //! Everything is reproducible from one seed: the campaign's PRNG is an
-//! in-tree splitmix64, plans are placed on injection sites harvested
+//! the workspace's splitmix64 ([`cubemm_dense::splitmix64`]), plans are placed on injection sites harvested
 //! from a traced healthy run (so scheduled faults actually fire), and
 //! the simulator itself is deterministic. Two campaigns with the same
 //! seed render byte-identical reports.
@@ -47,7 +47,7 @@ use std::fmt::Write as _;
 
 use cubemm_core::abft::{multiply_abft_with_tol, padded_order, AbftOutcome, AbftResult};
 use cubemm_core::{AlgoError, Algorithm, MachineConfig};
-use cubemm_dense::{gemm, Matrix};
+use cubemm_dense::{gemm, splitmix64, Matrix};
 use cubemm_simnet::{
     CorruptKind, Corruption, FaultEntry, FaultPlan, FiredKind, RunError, SendError, TraceKind,
 };
@@ -69,16 +69,6 @@ const P_MENU: [usize; 4] = [4, 8, 16, 64];
 // Seeded PRNG
 // ---------------------------------------------------------------------------
 
-/// One step of splitmix64: a tiny, well-mixed generator that keeps the
-/// campaign free of external dependencies while staying reproducible
-/// across platforms (pure wrapping integer arithmetic).
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The campaign's deterministic random stream (splitmix64).
 #[derive(Debug, Clone)]
 pub struct ChaosRng {
@@ -93,11 +83,7 @@ impl ChaosRng {
 
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// A uniform draw from `0..n` (`0` when `n == 0`). The modulo bias
@@ -1106,7 +1092,7 @@ fn algo_salt(algo: Algorithm) -> u64 {
         h ^= u64::from(byte);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    splitmix(h)
+    splitmix64(&mut h)
 }
 
 /// Runs one coverage-guided campaign against `algo`. Fails only on

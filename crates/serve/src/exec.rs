@@ -85,6 +85,13 @@ fn respond(req: &JobRequest, status: JobStatus) -> JobResponse {
     }
 }
 
+fn rejected(req: &JobRequest, error: String) -> ExecOutcome {
+    ExecOutcome {
+        response: respond(req, JobStatus::Rejected { error }),
+        machine_fault: false,
+    }
+}
+
 fn failed(req: &JobRequest, error: String, machine_fault: bool) -> ExecOutcome {
     ExecOutcome {
         response: respond(req, JobStatus::Failed { error }),
@@ -116,33 +123,41 @@ pub fn execute(req: &JobRequest) -> ExecOutcome {
 /// (the pool's same-shape cache). The run falls back to a fresh boot
 /// whenever the machine doesn't match the job, so a stale or mismatched
 /// cache entry can never change a response.
+///
+/// Shape checks run before anything n×n is built, and the operands are
+/// allocated fallibly: a job too large for the host is answered
+/// `rejected` with the bytes it needed, never aborts the process.
 pub fn execute_on(req: &JobRequest, prepared: Option<cubemm_simnet::Machine>) -> ExecOutcome {
     let algo = match req.algo {
         AlgoChoice::Named(algo) => algo,
         AlgoChoice::Auto => match resolve_auto(req) {
             Some(algo) => algo,
             None => {
-                return ExecOutcome {
-                    response: respond(
-                        req,
-                        JobStatus::Rejected {
-                            error: format!(
-                                "no compared algorithm accepts n={} on p={}",
-                                req.n, req.p
-                            ),
-                        },
-                    ),
-                    machine_fault: false,
-                }
+                return rejected(
+                    req,
+                    format!("no compared algorithm accepts n={} on p={}", req.n, req.p),
+                )
             }
         },
+    };
+    if !req.abft {
+        if let Err(e) = algo.check(req.n, req.p) {
+            return rejected(
+                req,
+                format!("{algo} cannot run n={} on p={}: {e}", req.n, req.p),
+            );
+        }
+    }
+    let operands = Matrix::try_random(req.n, req.n, req.seed)
+        .and_then(|a| Matrix::try_random(req.n, req.n, req.seed.wrapping_add(1)).map(|b| (a, b)));
+    let (a, b) = match operands {
+        Ok(ab) => ab,
+        Err(e) => return rejected(req, format!("operands do not fit in memory: {e}")),
     };
     let mut cfg = config_of(req);
     if let Some(machine) = prepared {
         cfg = cfg.with_prepared(machine);
     }
-    let a = Matrix::random(req.n, req.n, req.seed);
-    let b = Matrix::random(req.n, req.n, req.seed.wrapping_add(1));
     if req.abft {
         execute_abft(req, algo, &a, &b, &cfg)
     } else {
@@ -226,22 +241,15 @@ fn execute_plain(
     b: &Matrix,
     cfg: &MachineConfig,
 ) -> ExecOutcome {
-    if let Err(e) = algo.check(req.n, req.p) {
-        return ExecOutcome {
-            response: respond(
-                req,
-                JobStatus::Rejected {
-                    error: format!("{algo} cannot run n={} on p={}: {e}", req.n, req.p),
-                },
-            ),
-            machine_fault: false,
-        };
-    }
     match algo.multiply(a, b, req.p, cfg) {
         Ok(res) => {
             // Unprotected runs still never answer `ok` unverified: the
             // product is checked against the host reference.
-            let err = res.c.max_abs_diff(&gemm::reference(a, b));
+            let want = match gemm::try_reference(a, b) {
+                Ok(want) => want,
+                Err(e) => return rejected(req, format!("reference does not fit in memory: {e}")),
+            };
+            let err = res.c.max_abs_diff(&want);
             if err > 1e-9 * req.n as f64 {
                 return failed(
                     req,
@@ -285,6 +293,25 @@ mod tests {
 
     fn req(line: &str) -> JobRequest {
         parse_request(line).expect("test request")
+    }
+
+    #[test]
+    fn shape_and_size_rejections_come_before_any_operand() {
+        // A plain job whose shape the algorithm refuses is rejected by
+        // the shape check; at n = 200001 building its operands first
+        // would need 320 GB. An overflowing n is rejected by the
+        // fallible allocation without asking the allocator.
+        let shape = execute(&req(
+            r#"{"id":"s","n":200001,"p":4,"algo":"cannon","abft":false}"#,
+        ));
+        let size = execute(&req(r#"{"id":"z","n":4294967296,"p":4,"algo":"cannon"}"#));
+        for (out, want) in [(shape, "not divisible"), (size, "cannot allocate")] {
+            assert!(!out.machine_fault);
+            match out.response.status {
+                JobStatus::Rejected { ref error } => assert!(error.contains(want), "{error}"),
+                ref other => panic!("expected rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]

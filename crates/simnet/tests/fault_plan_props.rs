@@ -8,19 +8,12 @@
 //! and a re-encode must be byte-identical (the encoding is canonical
 //! because the plan's internals are ordered maps).
 
+use cubemm_dense::splitmix64;
 use cubemm_simnet::{CorruptKind, Corruption, FaultPlan};
 
 /// Machine size the generated plans target (`dim = 4`).
 const P: usize = 16;
 const DIM: u32 = 4;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A uniform pick in `0..bound`.
 fn pick(state: &mut u64, bound: u64) -> u64 {

@@ -4,17 +4,9 @@
 //! reproducible sweeps so the workspace needs no external crates and a
 //! failure is immediately reproducible from the printed case.
 
+use cubemm_dense::splitmix64;
 use cubemm_topology::bits::{deposit_bits, extract_bits, hamming};
 use cubemm_topology::{gray, gray_inverse, Grid2, Grid3, Subcube};
-
-/// SplitMix64 — the workspace's standard in-tree generator.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[test]
 fn gray_is_a_bijection() {
@@ -29,8 +21,8 @@ fn gray_is_gf2_linear() {
     // code; Cannon's hypercube form relies on it.
     let mut s = 1u64;
     for _ in 0..512 {
-        let a = mix(&mut s) as usize & 0xFFFF;
-        let b = mix(&mut s) as usize & 0xFFFF;
+        let a = splitmix64(&mut s) as usize & 0xFFFF;
+        let b = splitmix64(&mut s) as usize & 0xFFFF;
         assert_eq!(gray(a ^ b), gray(a) ^ gray(b), "a = {a}, b = {b}");
     }
 }
@@ -51,7 +43,7 @@ fn deposit_extract_inverse() {
     let mut lcg = 7u64;
     for v in 0usize..256 {
         // Pick 8 distinct dimensions pseudo-randomly from the seed.
-        let seed = mix(&mut lcg);
+        let seed = splitmix64(&mut lcg);
         let mut dims: Vec<u32> = (0..32).collect();
         let mut s = seed;
         for i in (1..dims.len()).rev() {
@@ -70,9 +62,9 @@ fn subcube_rank_member_roundtrip() {
     let mut s = 11u64;
     for dim in 1u32..10 {
         for _ in 0..16 {
-            let base = mix(&mut s) as usize & ((1 << 10) - 1);
+            let base = splitmix64(&mut s) as usize & ((1 << 10) - 1);
             let sc = Subcube::new(base, (0..dim).collect());
-            let rank = mix(&mut s) as usize % sc.size();
+            let rank = splitmix64(&mut s) as usize % sc.size();
             assert_eq!(sc.rank_of(sc.member(rank)), rank, "dim {dim}, base {base}");
         }
     }
